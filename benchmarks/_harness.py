@@ -32,6 +32,7 @@ from repro.data import StockDataset, load_market
 from repro.eval.speed import SpeedMeasurement
 from repro.store import (JsonSink, ResultSink, StoreSink, TeeSink,
                          bench_envelope, sanitize_payload, speed_record)
+from repro.tensor import blas_threads
 
 RESULTS_DIR = Path(__file__).resolve().parent / "results"
 
@@ -118,9 +119,11 @@ def publish(name: str, text: str) -> Path:
 
 
 def bench_settings() -> dict:
-    """The env-derived bench-scale knobs stamped into every artifact."""
+    """The bench-scale knobs and BLAS thread count stamped into every
+    artifact."""
     return {"epochs": BENCH_EPOCHS, "runs": BENCH_RUNS,
-            "window": BENCH_WINDOW, "seed": BENCH_SEED}
+            "window": BENCH_WINDOW, "seed": BENCH_SEED,
+            "blas_threads": blas_threads()}
 
 
 def bench_sink() -> ResultSink:

@@ -434,6 +434,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
     from .obs import (MetricsSink, OpProfiler, RunReport, Tracer,
                       new_run_id, use_tracer)
+    from .tensor import blas_threads
 
     if getattr(args, "sparse", False):
         # `--sparse` forces the CSR backend so the op table attributes
@@ -477,7 +478,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
                  "arena_hit_rate": arena["hit_rate"],
                  "arena_hits": arena["hits"],
                  "arena_misses": arena["misses"],
-                 "arena_bytes_reused": arena["bytes_reused"]})
+                 "arena_bytes_reused": arena["bytes_reused"],
+                 "blas_threads": blas_threads()})
     if args.json_path is not None:
         import json
         path = Path(args.json_path)

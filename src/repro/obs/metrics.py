@@ -138,8 +138,9 @@ class TelemetryCallback:
     protocol (deliberately not a subclass, so :mod:`repro.obs` stays
     importable without :mod:`repro.core`).  Pass one to
     ``Trainer.fit(callbacks=[...])``; when the fit ends, :attr:`report`
-    holds the run id, per-epoch losses, batch count, and — if a tracer was
-    active via :func:`~repro.obs.tracer.use_tracer` — the phase breakdown.
+    holds the run id, per-epoch losses, batch count, BLAS thread count,
+    and — if a tracer was active via :func:`~repro.obs.tracer.use_tracer`
+    — the phase breakdown.
     """
 
     def __init__(self, kind: str = "train", config: Any = None,
@@ -163,9 +164,11 @@ class TelemetryCallback:
 
     def on_fit_end(self, trainer, losses) -> None:
         """Capture the active tracer's phase snapshot into the report."""
+        from ..tensor.blas import blas_threads
         from .tracer import current_tracer
         self.report.phases = current_tracer().snapshot()
         self.report.metrics.setdefault("num_batches", self.num_batches)
+        self.report.metrics.setdefault("blas_threads", blas_threads())
 
 
 class MetricsSink:

@@ -43,6 +43,7 @@ from collections import deque
 from multiprocessing.connection import wait as _wait_connections
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
+from ..tensor.blas import pin_blas_threads
 from .telemetry import PoolTelemetry
 
 TaskFn = Callable[[Any], Any]
@@ -102,9 +103,10 @@ def resolve_workers(workers: Optional[int], n_tasks: int) -> int:
 
 
 def die_with_parent() -> None:
-    """Best effort: have the kernel kill this worker when its parent dies.
+    """Fork-child set-up: die with the parent, run BLAS on one thread.
 
-    Without it, SIGKILLing a pool's parent (which bypasses every Python
+    The kernel kills this worker when its parent dies (best effort).
+    Without that, SIGKILLing a pool's parent (which bypasses every Python
     cleanup path) orphans the workers mid-task; they would finish their
     run, fail the pipe write, and only then exit — holding inherited
     file descriptors open the whole time.  ``PR_SET_PDEATHSIG`` is
@@ -112,8 +114,12 @@ def die_with_parent() -> None:
     their next pipe operation, just not instantly.
 
     Shared worker-lifecycle machinery: called by the experiment pool's
-    forked workers *and* by the serving cluster's inference workers
-    (:mod:`repro.serve.cluster`).
+    forked workers, by :mod:`repro.dist`'s shard workers *and* by the
+    serving cluster's inference workers (:mod:`repro.serve.cluster`).
+    It also re-applies the one-BLAS-thread policy
+    (:func:`repro.tensor.blas.pin_blas_threads`): the parent pinned at
+    import, but an OpenBLAS mapped since then starts with a full pool,
+    and N workers each running one would oversubscribe the cores.
     """
     try:
         import ctypes
@@ -124,6 +130,7 @@ def die_with_parent() -> None:
             os._exit(1)
     except Exception:                   # pragma: no cover - non-Linux
         pass
+    pin_blas_threads()
 
 
 #: historical spelling, kept for forks of the pool internals

@@ -13,7 +13,9 @@ and benchmarks:
 - ``ops`` — one row per task: ``{"op": "task-<id>", "pass": "run",
   "count": <attempts>, "seconds": <wall>, "bytes": 0}``;
 - ``metrics`` — pool-level scalars (wall seconds, utilization, retries,
-  crashes, timeouts, max queue depth).
+  crashes, timeouts, max queue depth) and ``blas_threads``, the BLAS
+  thread count every process of the pool ran at (``None`` when it could
+  not be pinned, see :mod:`repro.tensor.blas`).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
 from ..obs.metrics import RunReport, new_run_id
+from ..tensor.blas import blas_threads
 
 
 @dataclass
@@ -89,6 +92,7 @@ class PoolTelemetry:
             "max_queue_depth": self.max_queue_depth,
             "utilization_mean": self.mean_utilization(),
             "busy_seconds_total": sum(self.worker_busy.values()),
+            "blas_threads": blas_threads(),
         }
         return RunReport(
             run_id=run_id if run_id is not None else new_run_id(kind),

@@ -5,10 +5,11 @@ and every coalesced forward executed by the
 :class:`~repro.serve.batcher.MicroBatcher` reports here.  A snapshot rolls
 the raw samples up into the numbers a latency dashboard wants — p50/p95/p99
 end-to-end latency, queue-depth distribution, a batch-size histogram that
-shows micro-batching actually coalescing, and the adjacency-cache hit rate —
-and :meth:`ServingTelemetry.report` publishes them through the schema-v1
-JSON sink of :mod:`repro.obs` so serving runs leave the same
-machine-diffable artifacts as training and benchmark runs.
+shows micro-batching actually coalescing, the adjacency-cache hit rate and
+the process's BLAS thread count (:mod:`repro.tensor.blas`) — and
+:meth:`ServingTelemetry.report` publishes them through the schema-v1 JSON
+sink of :mod:`repro.obs` so serving runs leave the same machine-diffable
+artifacts as training and benchmark runs.
 
 All recorders are thread-safe: they are called concurrently from client
 threads (request completions) and batcher workers (forward passes).
@@ -25,6 +26,7 @@ import numpy as np
 
 from ..obs import RunReport, new_run_id
 from ..store.schema import latency_histogram
+from ..tensor.blas import blas_threads
 
 #: retain this many most-recent latency / queue-depth samples; serving runs
 #: are unbounded streams, percentiles over a recent window are what a
@@ -235,6 +237,7 @@ class ServingTelemetry:
             **cache,
             "hit_rate": cache["hits"] / lookups if lookups else 0.0,
         }
+        payload["blas_threads"] = blas_threads()
         return payload
 
     def report(self, config: Optional[Dict[str, Any]] = None,
@@ -259,6 +262,7 @@ class ServingTelemetry:
             "mean_batch_size": snap["mean_batch_size"],
             "adjacency_cache_hit_rate":
                 snap["adjacency_cache"]["hit_rate"],
+            "blas_threads": snap["blas_threads"],
         }
         if "slo" in snap:
             slo = snap["slo"]

@@ -87,6 +87,9 @@ def _exact_p(w_plus: float, n: int, alternative: str) -> float:
 def _normal_p(w_plus: float, ranks: np.ndarray, alternative: str) -> float:
     from scipy.stats import norm
 
+    from ..tensor.blas import pin_blas_threads
+
+    pin_blas_threads()          # scipy.stats maps scipy's own OpenBLAS
     n = ranks.size
     mean = n * (n + 1) / 4.0
     variance = n * (n + 1) * (2 * n + 1) / 24.0

@@ -4,10 +4,15 @@ This package replaces PyTorch's autograd for the reproduction: it provides
 the :class:`Tensor` type with a dynamic computation graph, a functional ops
 layer (:mod:`repro.tensor.ops`), gradient-mode switches, and numerical
 gradient checking used to validate every model component.
+
+Importing the package applies the BLAS threading policy: one BLAS thread
+per process (:mod:`repro.tensor.blas`), whatever ``OPENBLAS_NUM_THREADS``
+or ``OMP_NUM_THREADS`` say.
 """
 
 from .arena import (arena, arena_enabled, arena_stats, clear_arena,
                     enable_arena, reset_arena)
+from .blas import BLAS_THREADS, blas_threads, pin_blas_threads
 from .dtype import (DtypePolicy, accum_dtype, default_dtype, dtype_policy,
                     get_dtype_policy, set_default_dtype)
 from .fused import (affine_act_fused, fused_enabled, fused_kernels,
@@ -24,7 +29,10 @@ from .sparse import (SparsePattern, SparseTensor, sddmm, sparse_gather,
 from .tensor import (Tensor, concat, einsum, ensure_tensor, maximum, stack,
                      where)
 
+pin_blas_threads()
+
 __all__ = [
+    "BLAS_THREADS", "blas_threads", "pin_blas_threads",
     "Tensor", "concat", "stack", "where", "maximum", "einsum", "ensure_tensor",
     "DtypePolicy", "dtype_policy", "set_default_dtype", "get_dtype_policy",
     "default_dtype", "accum_dtype",

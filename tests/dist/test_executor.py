@@ -9,9 +9,11 @@ import pytest
 from repro.core import RTGCN, TrainConfig, Trainer
 from repro.dist import GradSlots, ParamStore, ShardExecutor, ShardPlan, \
     WorkerContext
+from repro.dist import worker as dist_worker
 from repro.dist.worker import WorkerCrashError
 from repro.parallel import fork_available
 from repro.serve.shm import shm_available
+from repro.tensor import blas_threads
 
 pytestmark = pytest.mark.skipif(
     not (shm_available() and fork_available()),
@@ -134,7 +136,28 @@ class TestRunStep:
             report = executor.telemetry.report(kind="dist")
             assert report.kind == "dist"
             assert report.metrics["tasks_completed"] == 4
+            assert report.metrics["blas_threads"] == 1
             assert any(key.startswith("worker-")
                        for key in report.phases)
+        finally:
+            teardown_stack(model, store, slots, executor)
+
+    def test_workers_run_one_blas_thread(self, nasdaq_mini, monkeypatch,
+                                         unpinned_blas):
+        """Each forked worker re-pins BLAS, whatever the parent runs."""
+        monkeypatch.setattr(
+            dist_worker, "compute_shard",
+            lambda context, epoch, step, shard, grad_out:
+                [(int(day), float(blas_threads())) for day in shard.days])
+        assert blas_threads() == 2
+        cfg, model, trainer, store, slots, executor = build_stack(
+            nasdaq_mini, workers=2)
+        try:
+            days = trainer._training_days()[0][:4]
+            plan = ShardPlan.for_days(days, cfg.dist_days_per_step)
+            _, losses = executor.run_step(0, 0, plan.steps[0])
+            assert sorted(losses) == list(range(4))
+            assert {loss for pairs in losses.values()
+                    for _, loss in pairs} == {1.0}
         finally:
             teardown_stack(model, store, slots, executor)

@@ -97,6 +97,7 @@ class TestTelemetryCallback:
         report = telemetry.report
         assert report.epoch_losses == losses
         assert telemetry.num_batches == 8     # 2 epochs x 4 days
+        assert report.metrics["blas_threads"] == 1
         assert report.phases["forward"]["count"] == 8
         assert "backward" in report.phases
         assert report.config["window"] == 8

@@ -9,6 +9,7 @@ from repro.obs import validate_report
 from repro.parallel import (ExperimentPool, TaskFailedError,
                             WorkerCrashError, fork_available,
                             resolve_workers)
+from repro.tensor import blas_threads
 
 pytestmark = pytest.mark.skipif(not fork_available(),
                                 reason="needs the fork start method")
@@ -128,6 +129,12 @@ class TestTelemetry:
         assert payload["metrics"]["workers"] == 2
         assert len(payload["ops"]) == 5
         assert set(payload["phases"]) == {"worker-0", "worker-1"}
+        assert payload["metrics"]["blas_threads"] == 1
+
+    def test_workers_run_one_blas_thread(self, unpinned_blas):
+        assert blas_threads() == 2
+        pool = ExperimentPool(2, lambda task: blas_threads())
+        assert pool.run([0, 1, 2, 3]) == {0: 1, 1: 1, 2: 1, 3: 1}
 
     def test_worker_accounting_covers_all_tasks(self):
         pool = ExperimentPool(2, square)

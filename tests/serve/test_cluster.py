@@ -14,7 +14,9 @@ import numpy as np
 import pytest
 
 from repro.serve import ServeConfig, build
+from repro.serve import cluster as cluster_module
 from repro.serve.shm import shm_available
+from repro.tensor import blas_threads
 
 pytestmark = pytest.mark.skipif(
     not (shm_available()
@@ -93,6 +95,7 @@ class TestClusterServing:
         assert stats["cluster"]["workers"] == 2
         assert stats["cluster"]["max_queue"] == 256
         assert stats["slo"]["target_p99_ms"] == 1000.0
+        assert stats["blas_threads"] == 1
 
     def test_request_survives_worker_crash(self, cluster):
         victim = cluster.cluster._handles[0]
@@ -112,3 +115,21 @@ class TestClusterServing:
                 deadline_alive = True
                 break
         assert deadline_alive, "killed worker was never respawned"
+
+
+def test_workers_run_one_blas_thread(serving_ckpt_dir, monkeypatch,
+                                     unpinned_blas):
+    """An inference worker re-pins BLAS, whatever the front-end runs."""
+    monkeypatch.setattr(cluster_module, "_worker_execute",
+                        lambda *args: {"blas_threads": blas_threads()})
+    assert blas_threads() == 2
+    handle = build(ServeConfig(checkpoint_dir=str(serving_ckpt_dir),
+                               port=0, mode="cluster", cluster_workers=1,
+                               watch_interval_s=30.0))
+    handle.start()
+    try:
+        status, _, body = _get(handle, "/v1/scores")
+    finally:
+        handle.close()
+    assert status == 200
+    assert body == {"blas_threads": 1}

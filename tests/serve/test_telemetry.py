@@ -70,6 +70,7 @@ class TestSchemaV1Report:
         assert payload["kind"] == "serving"
         assert payload["metrics"]["requests"] == 1.0
         assert payload["metrics"]["latency_p50_seconds"] == 0.005
+        assert payload["metrics"]["blas_threads"] == 1
         assert payload["config"]["market"] == "csi-mini"
         serving = payload["config"]["serving"]
         assert serving["batch_size_histogram"] == {"3": 1}

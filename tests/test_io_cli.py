@@ -331,6 +331,7 @@ class TestProfileCommand:
         assert report.kind == "profile"
         assert report.config["model"] == "LSTM"
         assert report.ops and report.phases
+        assert report.metrics["blas_threads"] == 1
         assert len(report.epoch_losses) == 1      # --epochs 1
         ops_seen = {row["op"] for row in report.ops}
         # the LSTM core shows up either as raw matmuls or, with fusion
