@@ -24,11 +24,12 @@ from repro.data import load_market
 from repro.eval.speed import measure_speed
 from repro.graph import reset_adjacency_cache
 from repro.obs import OpProfiler, Tracer, use_tracer
+from repro.store import speed_record
 from repro.tensor import arena, arena_stats, reset_arena
 
 from _harness import (BENCH_MARKETS, BENCH_SEED, bench_config, bench_dataset,
                       checkpoint_telemetry, format_table, publish,
-                      publish_result, speed_record)
+                      publish_result)
 
 MARKET = BENCH_MARKETS[0]
 

@@ -1,18 +1,20 @@
 """Serving load test: micro-batching, cluster scale-out, and SLO search.
 
 Trains a small RT-GCN, checkpoints it, and drives the serving stack —
-built exclusively through the blessed ``build(ServeConfig(...))`` path —
-in three experiments:
+built exclusively through ``build(ServeConfig(...))`` — in three
+experiments:
 
 1. **closed-loop in-process** (batch1 vs batched): each client thread
    issues its next request as soon as the previous one returns; the
    headline is the micro-batching throughput ratio (floor: **3×**).
-2. **closed-loop over HTTP** (threaded vs cluster): the same saturating
-   load against the real listener, once for the single-process threaded
-   server and once for the forked shared-memory cluster.  On hosts with
-   ≥2 CPU cores the cluster must beat the threaded baseline at the same
-   p99 SLO; on 1-core hosts the numbers are recorded but not enforced
-   (workers can only time-slice).
+2. **closed-loop over HTTP** (threaded vs cluster backend): the same
+   saturating load against the real listener.  Both runs go through the
+   same asyncio front-end; only the backend differs — in-process
+   micro-batched forwards on the front-end's executor threads, or the
+   forked shared-memory workers.  On hosts with ≥2 CPU cores the
+   cluster must beat the threaded baseline at the same p99 SLO; on
+   1-core hosts the numbers are recorded but not enforced (workers can
+   only time-slice).
 3. **open-loop SLO search** (cluster): requests are issued on a fixed
    schedule regardless of completions — the honest arrival model — and
    the offered rate steps up until p99 exceeds the 50 ms budget.  The

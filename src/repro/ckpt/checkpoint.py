@@ -17,9 +17,9 @@ destination directory, fsynced, and ``os.replace``d into place, so a
 crash mid-write can never leave a half-written file under the final
 name — the worst case is a stale ``*.tmp-*`` file that loaders ignore.
 
-Format version 2 supersedes the parameters-only version 1 of
-:mod:`repro.io`; :func:`read_archive` loads both (v1 archives surface as
-model-only checkpoints with no optimizer/RNG/cursor state).
+Format version 2 supersedes the parameters-only version 1 of the
+former ``repro.io`` module; :func:`read_archive` loads both (v1 archives
+surface as model-only checkpoints with no optimizer/RNG/cursor state).
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ def read_archive(path: Union[str, Path]
     if _META_KEY not in arrays:
         raise CheckpointError(f"{path} is not a repro checkpoint (no "
                               f"metadata entry); it was not written by "
-                              "repro.ckpt or repro.io")
+                              "repro.ckpt")
     stored = arrays.pop(_CHECKSUM_KEY, None)
     if stored is None:
         raise CheckpointError(f"checkpoint {path} has no checksum entry; "

@@ -19,8 +19,8 @@ profile
     Train briefly under the op profiler and print per-op / per-phase
     cost tables, writing a JSON report (see ``docs/observability.md``).
 serve
-    Serve trained checkpoints over HTTP — threaded micro-batched
-    inference or, with ``--mode cluster``, an asyncio front-end over
+    Serve trained checkpoints over HTTP through one asyncio front-end —
+    in-process micro-batched inference or, with ``--mode cluster``,
     forked shared-memory workers with admission control and hot reload
     (see ``docs/serving.md``).
 query
@@ -207,7 +207,7 @@ _SERVE_FIELD_HELP = {
                         "parameters",
     "host": "bind address",
     "port": "bind port (0 = ephemeral)",
-    "mode": "serving topology: threaded | cluster (docs/serving.md)",
+    "mode": "where ranking ops run: threaded | cluster (docs/serving.md)",
     "cluster_workers": "forked inference workers (cluster mode)",
     "crash_retries": "per-request worker respawn+retry budget",
     "max_batch": "micro-batch size cap",

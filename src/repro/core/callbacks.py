@@ -73,7 +73,7 @@ class CallbackList(TrainerCallback):
 
 
 class ProgressCallback(TrainerCallback):
-    """Adapter for the legacy ``progress(epoch, mean_loss)`` callable."""
+    """Adapts a plain ``fn(epoch, mean_loss)`` callable to ``on_epoch_end``."""
 
     def __init__(self, fn: Callable[[int, float], None]):
         self.fn = fn

@@ -1,20 +1,16 @@
 """repro.serve — micro-batched inference serving for trained checkpoints.
 
-**Construction goes through one blessed path**::
+**Construction goes through one path**::
 
     from repro.serve import ServeConfig, build
 
     with build(ServeConfig(checkpoint_dir="ckpts")) as handle:
         handle.serve_forever()
 
-:class:`ServeConfig` holds every knob (listener, topology, batching,
+:class:`ServeConfig` holds every knob (listener, mode, batching,
 admission control, SLO, hot reload, persistence) and :func:`build`
-wires the whole stack from it.  The pre-PR-8 constructor surface
-(``ModelRegistry(...)``, ``RankingService(...)``, ``serve_forever(...)``
-and friends) had its deprecation release and is now removed: the names
-are gone from this namespace and direct construction raises
-:class:`LegacyRemovedError`; see ``docs/serving.md`` for the migration
-table.
+wires the whole stack from it.  The layers below are ordinary internals
+of their submodules; :func:`build` composes them.
 
 The stack, bottom to top:
 
@@ -23,17 +19,20 @@ The stack, bottom to top:
   API, LRU-cache them under a memory budget;
 - :mod:`~repro.serve.engine` — :class:`InferenceEngine`: tape-free
   forwards with explicit dense/sparse graph-mode dispatch;
+- :mod:`~repro.serve.ops` — the ``scores``/``top_k``/``rank``/``delta``
+  envelopes every serving path returns;
 - :mod:`~repro.serve.batcher` — :class:`MicroBatcher`: coalesce
   concurrent requests into shared forwards;
-- :mod:`~repro.serve.service` — :class:`RankingService`: the
-  scores/top-k/rank/delta facade with timeout fallback;
-- :mod:`~repro.serve.httpd` — the versioned (``/v1/``) stdlib JSON
-  endpoint (``repro.cli serve`` / ``repro.cli query`` wrap it);
+- :mod:`~repro.serve.service` — :class:`RankingService`: the in-process
+  ranking facade with timeout fallback (``mode="threaded"``);
 - :mod:`~repro.serve.shm` — shared-memory weights with generation-tagged
   hot swap (:class:`SharedWeightStore` / :class:`SharedWeightReader`);
-- :mod:`~repro.serve.cluster` — :class:`ServingCluster`: asyncio
-  front-end + forked zero-copy inference workers with admission control
-  and hot reload (``ServeConfig(mode="cluster")``);
+- :mod:`~repro.serve.cluster` — :class:`ServingCluster`: forked
+  zero-copy inference workers with admission control and hot reload
+  (``mode="cluster"``);
+- :mod:`~repro.serve.httpd` — the asyncio ``/v1/`` JSON front-end both
+  modes serve through (``repro.cli serve`` / ``repro.cli query`` wrap
+  it);
 - :mod:`~repro.serve.telemetry` — :class:`ServingTelemetry`: latency
   percentiles, SLO evaluation, batch-size histograms, schema-v1 reports.
 
@@ -41,7 +40,6 @@ See ``docs/serving.md`` for the train → checkpoint → serve → query
 lifecycle.
 """
 
-from ._deprecation import LEGACY, LegacyRemovedError
 from .batcher import BatcherClosedError
 from .client import ClientConnectError, QueryClient, fetch_endpoints
 from .cluster import ClusterError, ServingCluster
@@ -56,7 +54,7 @@ from .stream import StreamIngestor
 from .telemetry import ServingTelemetry
 
 __all__ = [
-    # the blessed construction path
+    # the construction path
     "ServeConfig", "ServeHandle", "build", "SERVE_MODES",
     # cluster serving
     "ServingCluster", "ClusterError",
@@ -69,6 +67,4 @@ __all__ = [
     "BatcherClosedError", "ServingTelemetry", "StreamIngestor",
     "ServableModel",
     "build_servable", "infer_rtgcn_architecture", "resolve_strategy",
-    # removed-constructor bookkeeping
-    "LEGACY", "LegacyRemovedError",
 ]

@@ -4,7 +4,7 @@
 stdlib thread pool of blocking ``urlopen`` calls.  This module replaces
 that with a true asyncio client — one event loop, one coroutine per
 endpoint, a semaphore for the concurrency cap — sharing its vocabulary
-with the cluster front-end instead of inventing a parallel one:
+with the HTTP front-end instead of inventing a parallel one:
 
 - timeouts surface as the **same error envelope** the server itself
   would send for a timed-out request (:func:`~repro.serve.httpd.
@@ -42,8 +42,7 @@ class QueryClient:
     """Concurrent GETs against one server, bounded by a semaphore.
 
     Every request is a fresh ``Connection: close`` HTTP/1.1 exchange —
-    the query CLI is a poll, not a session, and both serving transports
-    (threaded stdlib server and asyncio cluster front-end) treat
+    the query CLI is a poll, not a session, and the server treats
     connections as disposable.
     """
 

@@ -1,61 +1,50 @@
-"""Multi-process serving cluster: asyncio front-end + forked workers.
+"""Cluster backend: forked shared-memory inference workers.
 
-The threaded server (:mod:`repro.serve.httpd`) runs model forwards on
-the request threads of one process; past a handful of concurrent
-clients the GIL serializes them.  :class:`ServingCluster` splits the
-two roles:
+Both serving modes share one transport, the asyncio front-end of
+:mod:`repro.serve.httpd`.  In the threaded backend every model forward
+runs in the front-end's process, where past a handful of concurrent
+clients the GIL serializes them.  :class:`ServingCluster` is the
+``mode="cluster"`` backend, which moves the ranking ops out of it:
 
-- **Front-end** — a single asyncio event loop accepts every connection
-  (thousands of idle keep-alive sockets cost one fd each, no threads),
-  parses HTTP/1.1, coalesces identical in-flight requests, and applies
-  *admission control*: a bounded dispatch queue, with overflow answered
-  immediately as ``429`` + ``Retry-After`` instead of queueing without
-  bound until every client times out.
+- **Admission** — identical in-flight requests are coalesced, and the
+  rest enter a bounded dispatch queue; overflow is answered immediately
+  as ``429`` + ``Retry-After`` instead of queueing without bound until
+  every client times out.
 - **Workers** — ``cluster_workers`` forked inference processes, reusing
   the PDEATHSIG/respawn plumbing of
   :class:`repro.parallel.WorkerHandle`.  Weights live in **one** shared
-  memory copy (:mod:`repro.serve.shm`): the front-end publishes them,
+  memory copy (:mod:`repro.serve.shm`): the parent publishes them,
   every worker maps its model parameters onto the segment zero-copy.
+  Workers build their responses with :func:`repro.serve.ops.ranking`,
+  the same envelopes as the threaded backend, plus ``generation`` and
+  ``worker``.
 - **Hot swap** — a watcher polls the checkpoint directory
   (:meth:`ModelRegistry.fingerprint`); when the promoted best changes,
-  the front-end publishes a new weight generation and flips the seqlock
+  the parent publishes a new weight generation and flips the seqlock
   control word.  Workers notice *between* requests: in-flight requests
   finish on the old weights (the reader keeps the previous generation
   mapped), no request is ever dropped, and post-swap scores are
   bitwise-identical to a fresh engine on the new checkpoint.
 
 Construction goes through :func:`repro.serve.build` with
-``ServeConfig(mode="cluster")``; this class is not part of the
-deprecated legacy surface.
+``ServeConfig(mode="cluster")``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
-import json
 import multiprocessing
-import threading
 import time
 import warnings
 from typing import Any, Dict, Optional, Tuple
-from urllib.parse import urlparse
 
 import numpy as np
 
 from ..parallel.pool import WorkerHandle, die_with_parent, fork_available
-from ._deprecation import sanctioned
-from .httpd import (ApiError, classify_exception, deprecation_headers,
-                    error_payload, exception_response, parse_body,
-                    parse_query, query_int, resolve_route)
+from .httpd import ApiError, classify_exception, query_int, threaded_dispatch
+from .ops import RANKING_OPS, ranking
 from .shm import SharedWeightReader, SharedWeightStore, adopt_views
-
-_REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            429: "Too Many Requests", 500: "Internal Server Error",
-            503: "Service Unavailable"}
-
-#: ops the forked workers execute; everything else runs in the parent
-WORKER_OPS = ("scores", "top_k", "rank", "delta")
 
 
 class ClusterError(RuntimeError):
@@ -65,71 +54,13 @@ class ClusterError(RuntimeError):
 # ----------------------------------------------------------------------
 # worker side (runs in the forked child)
 # ----------------------------------------------------------------------
-def _worker_envelope(engine, reader: SharedWeightReader, slot: int,
-                     day: int, **payload: Any) -> Dict[str, Any]:
-    return {"version": engine.servable.version,
-            "model": engine.servable.model_name,
-            "market": engine.dataset.market,
-            "day": day, "stale": False,
-            "generation": reader.generation, "worker": slot, **payload}
-
-
-def _ranks_of(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(-values, kind="stable")
-    ranks = np.empty(len(values), dtype=int)
-    ranks[order] = np.arange(1, len(values) + 1)
-    return ranks
-
-
 def _worker_execute(engine, reader: SharedWeightReader, slot: int,
                     op: str, query: Dict[str, str]) -> Dict[str, Any]:
-    """One ranking op against the worker's (shared-weight) engine.
-
-    Mirrors the :class:`RankingService` response envelopes field for
-    field (plus ``generation``/``worker``), so clients cannot tell which
-    serving topology answered — only the transport differs.
-    """
-    day = engine.resolve_day(query_int(query, "day"))
-    symbols = engine.dataset.universe.symbols
-    if op == "scores":
-        scores = engine.scores(day)
-        return _worker_envelope(engine, reader, slot, day, scores={
-            symbol: float(score)
-            for symbol, score in zip(symbols, scores)})
-    if op == "top_k":
-        k = query_int(query, "k")
-        k = 10 if k is None else k
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        scores = engine.scores(day)
-        k = min(int(k), len(symbols))
-        order = np.argsort(-scores, kind="stable")[:k]
-        return _worker_envelope(engine, reader, slot, day, k=k, top_k=[
-            {"rank": rank + 1, "symbol": symbols[i],
-             "score": float(scores[i])}
-            for rank, i in enumerate(order)])
-    if op == "rank":
-        scores = engine.scores(day)
-        ranks = _ranks_of(scores)
-        return _worker_envelope(engine, reader, slot, day, ranking=[
-            {"rank": int(ranks[i]), "symbol": symbols[i],
-             "score": float(scores[i])}
-            for i in np.argsort(-scores, kind="stable")])
-    if op == "delta":
-        prior = day - 1
-        if prior < engine.servable.window - 1:
-            raise ValueError(
-                f"day {day} has no prior servable day to diff against")
-        scores, prev_scores = engine.scores(day), engine.scores(prior)
-        today_ranks, prior_ranks = _ranks_of(scores), _ranks_of(prev_scores)
-        deltas = prior_ranks - today_ranks
-        return _worker_envelope(
-            engine, reader, slot, day, prior_day=prior, deltas=[
-                {"symbol": symbols[i], "rank": int(today_ranks[i]),
-                 "prior_rank": int(prior_ranks[i]),
-                 "delta": int(deltas[i]), "score": float(scores[i])}
-                for i in np.argsort(today_ranks, kind="stable")])
-    raise ApiError(404, "not_found", f"worker has no op {op!r}")
+    """One ranking op against the worker's (shared-weight) engine."""
+    k = query_int(query, "k") if op == "top_k" else None
+    payload = ranking(op, engine, query_int(query, "day"), k=k)
+    payload.update(generation=reader.generation, worker=slot)
+    return payload
 
 
 def _cluster_worker_main(slot: int, task_conn, event_conn,
@@ -153,8 +84,7 @@ def _cluster_worker_main(slot: int, task_conn, event_conn,
     reader = SharedWeightReader(base_name)
     reader.refresh()
     adopt_views(servable.model, reader.views())
-    with sanctioned():
-        engine = InferenceEngine(servable)
+    engine = InferenceEngine(servable)
     while True:
         try:
             message = task_conn.recv()
@@ -199,15 +129,15 @@ class _WorkerDied(RuntimeError):
 # front-end (parent process)
 # ----------------------------------------------------------------------
 class ServingCluster:
-    """The serving cluster's parent-side controller.
+    """The ``mode="cluster"`` backend of the HTTP front-end.
 
-    Lifecycle: :meth:`start` forks the workers, publishes the weights,
-    and brings the asyncio front-end up on a background thread (returns
-    once the listener is bound — :attr:`address` is then real);
-    :meth:`serve_forever` blocks until :meth:`close`.  Built by
-    :func:`repro.serve.build`; ``service`` is the parent-side
-    :class:`RankingService` used for registry/metadata ops only — the
-    ranking path runs in the forked workers.
+    Lifecycle: :meth:`start` forks the workers and publishes the
+    weights; the front-end then runs :meth:`run` (worker proxies and the
+    checkpoint watcher) for as long as it listens and routes every
+    request through :meth:`dispatch`; :meth:`close` stops the workers
+    once the front-end is down.  Built by :func:`repro.serve.build`;
+    ``service`` is the parent-side :class:`RankingService`, which answers
+    what the workers do not.
     """
 
     def __init__(self, config, service, telemetry):
@@ -218,7 +148,6 @@ class ServingCluster:
         self.config = config
         self.service = service
         self.telemetry = telemetry
-        self.address: Optional[Tuple[str, int]] = None
         self.swaps = 0
         self._ctx = multiprocessing.get_context("fork")
         self._handles: list = []
@@ -226,13 +155,12 @@ class ServingCluster:
         self._fingerprint = None
         self._servable = None
         self._req_ids = itertools.count()
+        self._queue: "asyncio.Queue" = asyncio.Queue(
+            maxsize=config.max_queue)
+        self._inflight: Dict[Any, asyncio.Future] = {}
+        self._in_parent = threaded_dispatch(service)
         self._started = False
         self._closed = False
-        self._ready = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._stop_async: Optional[asyncio.Event] = None
-        self._startup_error: Optional[BaseException] = None
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -242,8 +170,7 @@ class ServingCluster:
             return self
         self._started = True
         registry = self.service.registry
-        with sanctioned():
-            self._servable = registry.load(None)
+        self._servable = registry.load(None)
         self._fingerprint = registry.fingerprint(self._servable.version)
         self._shm_store = SharedWeightStore()
         self._shm_store.publish(self._servable.model.state_dict(),
@@ -253,38 +180,18 @@ class ServingCluster:
                          args=(self._servable, self._shm_store.base_name),
                          name_prefix="repro-serve-cluster")
             for slot in range(self.config.cluster_workers)]
-        self._thread = threading.Thread(target=self._run_loop,
-                                        name="repro-serve-cluster-loop",
-                                        daemon=True)
-        self._thread.start()
-        self._ready.wait(timeout=30.0)
-        if self._startup_error is not None:
-            error = self._startup_error
-            self.close()
-            raise ClusterError(f"cluster front-end failed to start: "
-                               f"{error}") from error
-        if self.address is None:
-            self.close()
-            raise ClusterError("cluster front-end did not come up "
-                               "within 30s")
         return self
 
-    def serve_forever(self) -> None:
-        """Block until :meth:`close` (or KeyboardInterrupt upstream)."""
-        self.start()
-        self._thread.join()
+    async def run(self) -> None:
+        """One proxy task per worker plus the checkpoint watcher."""
+        await asyncio.gather(
+            *(self._worker_proxy(slot) for slot in range(len(self._handles))),
+            self._watch_checkpoints())
 
     def close(self) -> None:
         if self._closed:
             return
         self._closed = True
-        if self._loop is not None and self._stop_async is not None:
-            try:
-                self._loop.call_soon_threadsafe(self._stop_async.set)
-            except RuntimeError:            # loop already gone
-                pass
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
         for handle in self._handles:
             try:
                 handle.task_w.send(None)
@@ -302,156 +209,36 @@ class ServingCluster:
             self._shm_store = None
 
     # ------------------------------------------------------------------
-    # asyncio core
-    # ------------------------------------------------------------------
-    def _run_loop(self) -> None:
-        try:
-            asyncio.run(self._main())
-        except BaseException as exc:        # pragma: no cover - defensive
-            self._startup_error = exc
-            self._ready.set()
-
-    async def _main(self) -> None:
-        self._loop = asyncio.get_running_loop()
-        self._stop_async = asyncio.Event()
-        self._queue: "asyncio.Queue" = asyncio.Queue(
-            maxsize=self.config.max_queue)
-        self._inflight: Dict[Any, asyncio.Future] = {}
-        try:
-            server = await asyncio.start_server(
-                self._handle_connection, self.config.host,
-                self.config.port)
-        except OSError as exc:
-            self._startup_error = exc
-            self._ready.set()
-            return
-        self.address = server.sockets[0].getsockname()[:2]
-        proxies = [asyncio.create_task(self._worker_proxy(slot))
-                   for slot in range(len(self._handles))]
-        watcher = asyncio.create_task(self._watch_checkpoints())
-        self._ready.set()
-        try:
-            await self._stop_async.wait()
-        finally:
-            server.close()
-            await server.wait_closed()
-            for task in (watcher, *proxies):
-                task.cancel()
-            await asyncio.gather(watcher, *proxies,
-                                 return_exceptions=True)
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        try:
-            while True:
-                request = await self._read_request(reader)
-                if request is None:
-                    break
-                method, target, headers, body = request
-                keep_alive = (headers.get("connection", "").lower()
-                              != "close")
-                status, extra, payload = await self._dispatch(
-                    method, target, body)
-                writer.write(self._render(status, extra, payload,
-                                          keep_alive))
-                await writer.drain()
-                if not keep_alive:
-                    break
-        except (asyncio.IncompleteReadError, ConnectionError,
-                asyncio.LimitOverrunError):
-            pass
-        finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    @staticmethod
-    async def _read_request(
-            reader: asyncio.StreamReader
-    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """Parse one HTTP/1.1 request (head + body); None on clean EOF."""
-        line = await reader.readline()
-        if not line:
-            return None
-        parts = line.decode("latin-1").split()
-        if len(parts) < 2:
-            raise ConnectionError("malformed request line")
-        method, target = parts[0], parts[1]
-        headers: Dict[str, str] = {}
-        while True:
-            raw = await reader.readline()
-            if raw in (b"\r\n", b"\n", b""):
-                break
-            name, _, value = raw.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", 0) or 0)
-        body = await reader.readexactly(length) if length else b""
-        return method, target, headers, body
-
-    @staticmethod
-    def _render(status: int, extra: Dict[str, str],
-                payload: Dict[str, Any], keep_alive: bool) -> bytes:
-        body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
-        reason = _REASONS.get(status, "OK")
-        lines = [f"HTTP/1.1 {status} {reason}",
-                 "Content-Type: application/json",
-                 f"Content-Length: {len(body)}",
-                 f"Connection: {'keep-alive' if keep_alive else 'close'}"]
-        lines += [f"{name}: {value}" for name, value in extra.items()]
-        head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-        return head + body
-
-    # ------------------------------------------------------------------
     # routing / dispatch
     # ------------------------------------------------------------------
-    async def _dispatch(self, method: str, target: str, body: bytes = b""
-                        ) -> Tuple[int, Dict[str, str], Dict[str, Any]]:
-        parsed = urlparse(target)
-        query = parse_query(parsed.query)
-        op, canonical, deprecated = resolve_route(parsed.path)
-        extra: Dict[str, str] = {}
-        try:
-            if op is None:
-                raise ApiError(404, "not_found",
-                               f"no route for {parsed.path!r}")
-            if op in WORKER_OPS:
-                payload = await self._dispatch_worker(op, query)
-            else:
-                payload = await self._dispatch_parent(op, query, body)
-            status = 200
-        except Exception as exc:  # noqa: BLE001 — uniform JSON envelope
-            status, extra, payload = exception_response(exc)
-        if deprecated:
-            extra.update(deprecation_headers(canonical))
-        return status, extra, payload
+    def _alive(self) -> int:
+        return sum(1 for h in self._handles if h.process.is_alive())
 
-    async def _dispatch_parent(self, op: str, query: Dict[str, str],
-                               body: bytes = b"") -> Dict[str, Any]:
-        """Registry/metadata/ingest ops answered in the front-end process."""
-        loop = asyncio.get_running_loop()
+    async def dispatch(self, op: str, query: Dict[str, str],
+                       body: bytes = b"") -> Dict[str, Any]:
+        """Answer one routed op.
+
+        Ranking ops at the served version go to the workers; health,
+        stats and reload describe the cluster; everything else (models,
+        ingest, a ranking at another version) runs on the parent-side
+        service, exactly as in threaded mode.
+        """
+        served = self._servable.version
+        if op in RANKING_OPS and query.get("version", served) == served:
+            return await self._dispatch_worker(op, query)
         if op == "health":
-            alive = sum(1 for h in self._handles if h.process.is_alive())
+            alive = self._alive()
             return {"status": "ok" if alive else "degraded",
                     "mode": "cluster", "workers": len(self._handles),
                     "alive": alive,
                     "generation": self._shm_store.current_generation(),
-                    "version": self._servable.version}
-        if op == "models":
-            registry = self.service.registry
-            return await loop.run_in_executor(None, lambda: {
-                "directory": str(registry.directory),
-                "loaded": registry.loaded_versions(),
-                "models": [registry.describe(v)
-                           for v in registry.discover()]})
+                    "version": served}
         if op == "stats":
             snap = self.telemetry.snapshot()
             snap["registry"] = self.service.registry.stats()
             snap["cluster"] = {
                 "workers": len(self._handles),
-                "alive": sum(1 for h in self._handles
-                             if h.process.is_alive()),
+                "alive": self._alive(),
                 "queue_depth": self._queue.qsize(),
                 "max_queue": self.config.max_queue,
                 "generation": self._shm_store.current_generation(),
@@ -463,21 +250,13 @@ class ServingCluster:
             return {"reloaded": generation is not None,
                     "generation": self._shm_store.current_generation(),
                     "version": self._servable.version}
-        if op == "ingest":
-            # The live graph is parent-side state (the process-global
-            # adjacency cache); the delta + re-rank run on an executor
-            # thread so the event loop keeps accepting connections.
-            payload = parse_body(body)
-            version = query.get("version")
-            return await loop.run_in_executor(
-                None, lambda: self.service.ingest(payload, version=version))
-        raise ApiError(404, "not_found", f"no route for op {op!r}")
+        return await self._in_parent(op, query, body)
 
     async def _dispatch_worker(self, op: str, query: Dict[str, str]
                                ) -> Dict[str, Any]:
         """Admit one ranking request to the worker queue (or shed it)."""
         start = time.perf_counter()
-        if not any(h.process.is_alive() for h in self._handles):
+        if not self._alive():
             self.telemetry.record_error(op)
             raise ApiError(503, "unavailable", "no inference workers "
                            "alive", retry_after=self.config.retry_after_s)
@@ -624,10 +403,9 @@ class ServingCluster:
         if fingerprint == self._fingerprint and not force:
             return None
         version = fingerprint[0]
-        with sanctioned():
-            self.service.reload()           # parent-side engine caches
-            registry.evict(version)         # force a fresh archive read
-            servable = registry.load(version)
+        self.service.reload()               # parent-side engine caches
+        registry.evict(version)             # force a fresh archive read
+        servable = registry.load(version)
         published = self._shm_store.publish(servable.model.state_dict(),
                                             version=version)
         self._servable = servable

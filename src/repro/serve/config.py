@@ -1,12 +1,6 @@
-"""ServeConfig + :func:`build` — the one blessed way to stand up serving.
+"""ServeConfig + :func:`build` — the one way to stand up serving.
 
-Historically each layer of :mod:`repro.serve` was constructed by hand:
-a :class:`~repro.serve.registry.ModelRegistry`, then a
-:class:`~repro.serve.service.RankingService` around it, then a
-:class:`~repro.serve.httpd.RankingHTTPServer` around that — three
-constructors whose defaults had to be kept in sync by every caller
-(the CLI, the benchmarks, the tests).  This module collapses them into
-one field-driven dataclass and one factory, mirroring how
+One field-driven dataclass and one factory, mirroring how
 ``TrainConfig`` drives training::
 
     from repro.serve import ServeConfig, build
@@ -15,15 +9,12 @@ one field-driven dataclass and one factory, mirroring how
     with handle:
         handle.serve_forever()        # or poke handle.service directly
 
-Direct construction of the individual classes raises
-:class:`~repro.serve._deprecation.LegacyRemovedError` — the PR 8
-deprecation shims had their release and are gone.  ``docs/serving.md``
-documents the migration.
-
-``mode="threaded"`` is the in-process server of PR 4 (thread pool +
-micro-batcher).  ``mode="cluster"`` is the multi-process asyncio
-front-end of :mod:`repro.serve.cluster`: forked inference workers
-reading weights from shared memory, admission control, and hot reload.
+Both modes serve over the same asyncio HTTP front-end
+(:mod:`repro.serve.httpd`); ``mode`` only picks where ranking ops run.
+``mode="threaded"`` runs them in-process on the micro-batched
+:class:`~repro.serve.service.RankingService`.  ``mode="cluster"`` runs
+them in the forked shared-memory workers of :mod:`repro.serve.cluster`,
+with admission control and hot reload.
 """
 
 from __future__ import annotations
@@ -31,8 +22,6 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
-
-from ._deprecation import sanctioned
 
 #: serving modes :func:`build` understands
 SERVE_MODES = ("threaded", "cluster")
@@ -43,7 +32,7 @@ class ServeConfig:
     """Everything needed to stand up a ranking server, in one place.
 
     Field groups, top to bottom: where the models live, where to listen,
-    which serving topology, model resolution defaults, micro-batching
+    which backend runs ranking ops, model resolution defaults, micro-batching
     knobs, request admission / SLO policy, hot-reload policy, and
     result persistence.  ``repro.cli serve`` derives one ``--flag`` per
     field, so the CLI surface can never drift from this dataclass.
@@ -60,7 +49,7 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 8151                     # 0 = ephemeral (tests/benchmarks)
 
-    # topology
+    # backend
     mode: str = "threaded"               # "threaded" | "cluster"
     cluster_workers: int = 2             # forked workers (cluster mode)
     crash_retries: int = 1               # per-request respawn+retry budget
@@ -137,67 +126,55 @@ class ServeConfig:
 class ServeHandle:
     """What :func:`build` returns: the running stack plus lifecycle.
 
+    - ``handle.server`` — the :class:`~repro.serve.httpd.HttpFrontEnd`
+      (both modes).
     - ``handle.service`` — the :class:`RankingService` (threaded mode;
       in cluster mode this is the *parent-side* service the registry
       ops run against, not the inference path).
-    - ``handle.server`` — the threaded HTTP server, or ``None`` before
-      :meth:`serve_forever` in cluster mode.
     - ``handle.cluster`` — the :class:`~repro.serve.cluster.ServingCluster`
-      (cluster mode only).
+      backend (cluster mode only).
     - ``handle.telemetry`` — the shared :class:`ServingTelemetry`.
 
     Closing the handle drains the batcher/workers and, when the config
     names a ``store``, records the final telemetry report and SLO row.
     """
 
-    def __init__(self, config: ServeConfig, service, telemetry,
-                 server=None, cluster=None):
+    def __init__(self, config: ServeConfig, service, telemetry, server,
+                 cluster=None):
         self.config = config
         self.service = service
         self.telemetry = telemetry
         self.server = server
         self.cluster = cluster
-        self._server_thread = None
         self._closed = False
 
     # ------------------------------------------------------------------
     @property
     def address(self) -> Tuple[str, int]:
         """The bound ``(host, port)`` — resolves port 0 to the real one."""
-        if self.cluster is not None and self.cluster.address is not None:
-            return self.cluster.address
-        if self.server is not None:
-            return self.server.server_address[:2]
-        return (self.config.host, self.config.port)
+        return self.server.address or (self.config.host, self.config.port)
 
     def start(self) -> "ServeHandle":
         """Begin serving without blocking; :attr:`address` is then live.
 
-        Cluster mode forks the workers and brings the asyncio front-end
-        up; threaded mode spins the HTTP server on a daemon thread.
-        Idempotent.  Tests and benchmarks use this; production entry
-        points call :meth:`serve_forever`.
+        Cluster mode forks the workers first.  Idempotent.  Tests and
+        benchmarks use this; production entry points call
+        :meth:`serve_forever`.
         """
-        if self.cluster is not None:
-            self.cluster.start()
-        elif self._server_thread is None:
-            import threading
-
-            self._server_thread = threading.Thread(
-                target=self.server.serve_forever,
-                name="repro-serve-httpd", daemon=True)
-            self._server_thread.start()
+        try:
+            if self.cluster is not None:
+                self.cluster.start()
+            self.server.start()
+        except BaseException:
+            self.close()
+            raise
         return self
 
     def serve_forever(self) -> None:
         """Block serving requests until interrupted; then clean up."""
         try:
-            if self.cluster is not None:
-                self.cluster.serve_forever()
-            elif self._server_thread is not None:
-                self._server_thread.join()
-            else:
-                self.server.serve_forever()
+            self.start()
+            self.server.serve_forever()
         except KeyboardInterrupt:
             pass
         finally:
@@ -209,18 +186,9 @@ class ServeHandle:
             return
         self._closed = True
         try:
+            self.server.close()
             if self.cluster is not None:
                 self.cluster.close()
-            if self.server is not None:
-                # shutdown() blocks on serve_forever's acknowledgement,
-                # which never comes if the loop was never entered — only
-                # signal a server that actually started.
-                if self._server_thread is not None:
-                    self.server.shutdown()
-                self.server.server_close()
-            if self._server_thread is not None:
-                self._server_thread.join(timeout=5.0)
-                self._server_thread = None
             self.service.close()
         finally:
             # A second Ctrl-C can interrupt the teardown above; the
@@ -255,37 +223,38 @@ class ServeHandle:
 def build(config: ServeConfig) -> ServeHandle:
     """Construct the full serving stack from one :class:`ServeConfig`.
 
-    The only non-deprecated construction path: registry, service,
-    batcher, telemetry, and (per ``config.mode``) the threaded HTTP
-    server or the multi-process cluster all come from here, already
-    wired together.  The returned :class:`ServeHandle` owns their
-    lifecycle.
+    Registry, service, batcher, telemetry, the HTTP front-end and (per
+    ``config.mode``) the multi-process cluster backend all come from
+    here, already wired together.  Nothing listens until
+    :meth:`ServeHandle.start`; the returned handle owns the lifecycle.
     """
+    from .httpd import HttpFrontEnd, threaded_dispatch
     from .registry import ModelRegistry
     from .service import RankingService
     from .telemetry import ServingTelemetry
 
     telemetry = ServingTelemetry(slo_p99_ms=config.slo_p99_ms)
-    with sanctioned():
-        registry = ModelRegistry(
-            config.checkpoint_dir,
-            memory_budget_bytes=config.memory_budget_bytes,
-            model=config.model, market=config.market, seed=config.seed)
-        service = RankingService(
-            registry, max_batch=config.max_batch,
-            max_wait_ms=config.max_wait_ms, workers=config.batch_workers,
-            default_timeout=config.default_timeout, telemetry=telemetry,
-            straggler_poll_ms=config.straggler_poll_ms,
-            idle_poll_ms=config.idle_poll_ms,
-            tick_budget_ms=config.tick_budget_ms,
-            stream_alpha=config.stream_alpha)
-        if config.mode == "cluster":
-            from .cluster import ServingCluster
+    registry = ModelRegistry(
+        config.checkpoint_dir,
+        memory_budget_bytes=config.memory_budget_bytes,
+        model=config.model, market=config.market, seed=config.seed)
+    service = RankingService(
+        registry, max_batch=config.max_batch,
+        max_wait_ms=config.max_wait_ms, workers=config.batch_workers,
+        default_timeout=config.default_timeout, telemetry=telemetry,
+        straggler_poll_ms=config.straggler_poll_ms,
+        idle_poll_ms=config.idle_poll_ms,
+        tick_budget_ms=config.tick_budget_ms,
+        stream_alpha=config.stream_alpha)
+    if config.mode == "cluster":
+        from .cluster import ServingCluster
 
-            cluster = ServingCluster(config, service=service,
-                                     telemetry=telemetry)
-            return ServeHandle(config, service, telemetry, cluster=cluster)
-        from .httpd import RankingHTTPServer
-
-        server = RankingHTTPServer((config.host, config.port), service)
-    return ServeHandle(config, service, telemetry, server=server)
+        cluster = ServingCluster(config, service=service,
+                                 telemetry=telemetry)
+        server = HttpFrontEnd(config.host, config.port, cluster.dispatch,
+                              background=cluster.run)
+        return ServeHandle(config, service, telemetry, server,
+                           cluster=cluster)
+    server = HttpFrontEnd(config.host, config.port,
+                          threaded_dispatch(service))
+    return ServeHandle(config, service, telemetry, server)

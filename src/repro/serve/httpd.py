@@ -1,8 +1,10 @@
-"""Stdlib JSON/HTTP front-end for the :class:`RankingService`.
+"""The asyncio JSON/HTTP front-end: one transport for both serving modes.
 
-One :class:`~http.server.ThreadingHTTPServer` (no third-party web
-framework — the whole repo is stdlib+NumPy) exposing the **versioned**
-API surface:
+No third-party web framework (the whole repo is stdlib+NumPy).  One
+asyncio event loop on a background thread accepts every connection
+(idle keep-alive sockets cost one fd each, no threads), parses
+HTTP/1.1, routes the **versioned** API surface and renders the JSON
+reply:
 
 =======================  =================================================
 ``GET /v1/health``        liveness + loaded versions
@@ -17,10 +19,8 @@ API surface:
 =======================  =================================================
 
 Ranking endpoints accept ``?version=<ckpt>&day=<int>`` (defaults: the
-registry's best version, the latest servable day).  The unversioned
-spellings (``/health``, ``/scores``, ...) still answer for one release,
-but carry ``Deprecation: true`` and a ``Link: </v1/...>;
-rel="successor-version"`` header pointing at the canonical path.
+registry's best version, the latest servable day).  Any other path,
+the unversioned spellings (``/scores``, ...) included, is a ``404``.
 
 Errors come back as a uniform envelope —
 ``{"error": {"code", "message", "retry_after"}}`` — with a meaningful
@@ -28,18 +28,24 @@ status code, so a misaddressed query never manifests as an opaque 500.
 ``retry_after`` is non-null exactly when retrying helps (load shed,
 timeout) and mirrors the ``Retry-After`` response header.
 
-This module also hosts the transport-agnostic pieces the asyncio
-cluster front-end (:mod:`repro.serve.cluster`) reuses: route resolution
-(:func:`resolve_route`), exception→status mapping
-(:func:`classify_exception`), and envelope rendering
-(:func:`error_payload`).
+What runs an op is the *backend*, a coroutine function
+``dispatch(op, query, body) -> payload`` handed to :class:`HttpFrontEnd`:
+
+- ``mode="threaded"`` — :func:`threaded_dispatch`: :func:`execute`
+  against the in-process :class:`RankingService` on the loop's executor,
+  where the micro-batcher coalesces concurrent requests;
+- ``mode="cluster"`` — :meth:`ServingCluster.dispatch
+  <repro.serve.cluster.ServingCluster.dispatch>`: forked shared-memory
+  workers behind an admission queue.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional, Tuple
+import threading
+from http import HTTPStatus
+from typing import Any, Awaitable, Callable, Dict, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
 
 from .registry import RegistryError
@@ -49,9 +55,8 @@ from .service import RankingService, ServiceTimeoutError
 API_OPS = ("health", "models", "scores", "top_k", "rank", "delta",
            "stats", "reload", "ingest")
 
-#: ops that mutate server state and therefore want POST (GET still
-#: answers for operator convenience — reload is idempotent).
-MUTATING_OPS = ("reload", "ingest")
+Dispatch = Callable[[str, Dict[str, str], bytes],
+                    Awaitable[Dict[str, Any]]]
 
 
 class ApiError(Exception):
@@ -68,26 +73,12 @@ class ApiError(Exception):
         self.type_name: Optional[str] = None
 
 
-def resolve_route(path: str) -> Tuple[Optional[str], str, bool]:
-    """``(op, canonical_path, deprecated)`` for a request path.
-
-    ``op`` is ``None`` for unknown paths.  ``deprecated`` is True when
-    the client used an unversioned spelling; the transport should attach
-    :func:`deprecation_headers` to the response.
-    """
-    if path.startswith("/v1/"):
-        op = path[len("/v1/"):].strip("/")
-        return (op if op in API_OPS else None), path, False
-    op = path.strip("/")
-    if op in API_OPS:
-        return op, f"/v1/{op}", True
-    return None, path, False
-
-
-def deprecation_headers(canonical_path: str) -> Dict[str, str]:
-    """Headers an unversioned-alias response must carry."""
-    return {"Deprecation": "true",
-            "Link": f'<{canonical_path}>; rel="successor-version"'}
+def resolve_route(path: str) -> Optional[str]:
+    """The canonical op for a request path; ``None`` for unknown paths."""
+    if not path.startswith("/v1/"):
+        return None
+    op = path[len("/v1/"):].strip("/")
+    return op if op in API_OPS else None
 
 
 def error_payload(code: str, message: str,
@@ -166,9 +157,8 @@ def execute(service: RankingService, op: str, query: Dict[str, str],
             body: Optional[bytes] = None) -> Dict[str, Any]:
     """Run one canonical op against a :class:`RankingService`.
 
-    Shared by the threaded server below; the cluster front-end executes
-    ranking ops in its worker processes instead but delegates the
-    registry-only ops here via its parent-side service.
+    The whole of threaded mode; cluster mode runs the ops its workers
+    and front-end do not answer themselves through here too.
     """
     version = query.get("version")
     day = query_int(query, "day")
@@ -200,79 +190,203 @@ def execute(service: RankingService, op: str, query: Dict[str, str],
     raise ApiError(404, "not_found", f"no route for op {op!r}")
 
 
-def _json_bytes(payload: Dict[str, Any]) -> bytes:
-    return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+def threaded_dispatch(service: RankingService) -> Dispatch:
+    """The ``mode="threaded"`` backend: :func:`execute` on the executor.
+
+    Requests block on the micro-batcher there, never on the event loop;
+    nothing is shed, a missed deadline falls back to the last served
+    ranking.
+    """
+    async def dispatch(op: str, query: Dict[str, str],
+                       body: bytes) -> Dict[str, Any]:
+        return await asyncio.get_running_loop().run_in_executor(
+            None, execute, service, op, query, body)
+    return dispatch
 
 
-class RankingHTTPServer(ThreadingHTTPServer):
-    """HTTP server bound to one :class:`RankingService`."""
+# ----------------------------------------------------------------------
+# wire format
+# ----------------------------------------------------------------------
+async def _read_request(reader: asyncio.StreamReader
+                       ) -> Optional[Tuple[str, Dict[str, str], bytes]]:
+    """Parse one HTTP/1.1 request into ``(target, headers, body)``.
 
-    daemon_threads = True
+    ``None`` on clean EOF.  A ``Content-Length`` that is not a
+    non-negative integer raises :class:`ApiError` (400): the body cannot
+    be framed, so the connection must close after the reply.
+    """
+    line = await reader.readline()
+    if not line:
+        return None
+    parts = line.decode("latin-1").split()
+    if len(parts) < 2:
+        raise ConnectionError("malformed request line")
+    headers: Dict[str, str] = {}
+    while True:
+        raw = await reader.readline()
+        if raw in (b"\r\n", b"\n", b""):
+            break
+        name, _, value = raw.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    raw_length = headers.get("content-length") or "0"
+    try:
+        length = int(raw_length)
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise ApiError(400, "bad_request",
+                       f"Content-Length must be a non-negative integer, "
+                       f"got {raw_length!r}")
+    body = await reader.readexactly(length) if length else b""
+    return parts[1], headers, body
 
-    def __init__(self, address: Tuple[str, int], service: RankingService):
-        from ._deprecation import guard_legacy
-        guard_legacy("RankingHTTPServer")
-        super().__init__(address, _RankingHandler)
-        self.service = service
 
-    def shutdown(self) -> None:          # also drain the batcher
-        super().shutdown()
-        self.service.close()
+def _render(status: int, extra: Dict[str, str], payload: Dict[str, Any],
+           keep_alive: bool) -> bytes:
+    """One complete HTTP/1.1 response carrying ``payload`` as JSON."""
+    body = (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
+    lines = [f"HTTP/1.1 {status} {HTTPStatus(status).phrase}",
+             "Content-Type: application/json",
+             f"Content-Length: {len(body)}",
+             f"Connection: {'keep-alive' if keep_alive else 'close'}"]
+    lines += [f"{name}: {value}" for name, value in extra.items()]
+    head = ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+    return head + body
 
 
-class _RankingHandler(BaseHTTPRequestHandler):
-    server: RankingHTTPServer
-    protocol_version = "HTTP/1.1"
+# ----------------------------------------------------------------------
+# the listener
+# ----------------------------------------------------------------------
+class HttpFrontEnd:
+    """An asyncio HTTP/1.1 listener on a background thread.
 
-    # quiet by default; serving telemetry supersedes stderr access logs
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        pass
+    ``dispatch`` answers one routed op (its exceptions become error
+    envelopes); ``background``, when given, is a coroutine function run
+    for the listener's lifetime and cancelled at :meth:`close` (the
+    cluster's worker proxies and checkpoint watcher).  :meth:`start`
+    returns once the socket is bound — :attr:`address` is then real.
+    """
 
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
-        self._respond()
+    def __init__(self, host: str, port: int, dispatch: Dispatch,
+                 background: Optional[Callable[[], Awaitable[None]]] = None):
+        self.host = host
+        self.port = port
+        self.dispatch = dispatch
+        self.background = background
+        self.address: Optional[Tuple[str, int]] = None
+        self._ready = threading.Event()
+        self._thread: Optional[threading.Thread] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._stop: Optional[asyncio.Event] = None
+        self._startup_error: Optional[BaseException] = None
 
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
-        # Reading the full body also keeps keep-alive framing intact.
-        length = int(self.headers.get("Content-Length") or 0)
-        body = self.rfile.read(length) if length else b""
-        self._respond(body)
+    # ------------------------------------------------------------------
+    # lifecycle
+    # ------------------------------------------------------------------
+    def start(self) -> "HttpFrontEnd":
+        """Bind and begin serving without blocking; idempotent."""
+        if self._thread is not None:
+            return self
+        self._thread = threading.Thread(target=self._run,
+                                        name="repro-serve-http",
+                                        daemon=True)
+        self._thread.start()
+        self._ready.wait(timeout=30.0)
+        if self._startup_error is not None:
+            raise self._startup_error
+        if self.address is None:
+            raise RuntimeError("HTTP front-end did not come up within 30s")
+        return self
 
-    def _respond(self, body: Optional[bytes] = None) -> None:
-        parsed = urlparse(self.path)
-        query = parse_query(parsed.query)
-        op, canonical, deprecated = resolve_route(parsed.path)
-        extra_headers: Dict[str, str] = {}
+    def serve_forever(self) -> None:
+        """Block until :meth:`close` (or KeyboardInterrupt upstream)."""
+        self.start()
+        self._thread.join()
+
+    def close(self) -> None:
+        """Stop listening and wait for the loop thread; idempotent."""
+        if self._loop is not None and self._stop is not None:
+            try:
+                self._loop.call_soon_threadsafe(self._stop.set)
+            except RuntimeError:            # loop already gone
+                pass
+        if self._thread is not None:
+            self._thread.join(timeout=10.0)
+
+    def _run(self) -> None:
         try:
+            asyncio.run(self._main())
+        except BaseException as exc:        # pragma: no cover - defensive
+            self._startup_error = exc
+            self._ready.set()
+
+    async def _main(self) -> None:
+        self._loop = asyncio.get_running_loop()
+        self._stop = asyncio.Event()
+        try:
+            server = await asyncio.start_server(
+                self._handle_connection, self.host, self.port)
+        except OSError as exc:
+            self._startup_error = exc
+            self._ready.set()
+            return
+        self.address = server.sockets[0].getsockname()[:2]
+        tasks = ([asyncio.create_task(self.background())]
+                 if self.background is not None else [])
+        self._ready.set()
+        try:
+            await self._stop.wait()
+        finally:
+            server.close()
+            await server.wait_closed()
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+
+    # ------------------------------------------------------------------
+    # connections
+    # ------------------------------------------------------------------
+    async def _handle_connection(self, reader: asyncio.StreamReader,
+                                 writer: asyncio.StreamWriter) -> None:
+        try:
+            while True:
+                try:
+                    request = await _read_request(reader)
+                except ApiError as exc:     # unframeable: reply, close
+                    writer.write(_render(*exception_response(exc),
+                                        keep_alive=False))
+                    await writer.drain()
+                    break
+                if request is None:
+                    break
+                target, headers, body = request
+                keep_alive = (headers.get("connection", "").lower()
+                              != "close")
+                status, extra, payload = await self._respond(target, body)
+                writer.write(_render(status, extra, payload, keep_alive))
+                await writer.drain()
+                if not keep_alive:
+                    break
+        except (asyncio.IncompleteReadError, ConnectionError,
+                asyncio.LimitOverrunError):
+            pass
+        finally:
+            writer.close()
+            try:
+                await writer.wait_closed()
+            except (ConnectionError, OSError):
+                pass
+
+    async def _respond(self, target: str, body: bytes
+                       ) -> Tuple[int, Dict[str, str], Dict[str, Any]]:
+        parsed = urlparse(target)
+        try:
+            op = resolve_route(parsed.path)
             if op is None:
                 raise ApiError(404, "not_found",
                                f"no route for {parsed.path!r}")
-            status, payload = 200, execute(self.server.service, op, query,
-                                           body=body)
-        except Exception as exc:  # noqa: BLE001 — JSON instead of stack dump
-            status, extra_headers, payload = exception_response(exc)
-        if deprecated:
-            extra_headers.update(deprecation_headers(canonical))
-        body = _json_bytes(payload)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in extra_headers.items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-
-def serve_forever(service: RankingService, host: str = "127.0.0.1",
-                  port: int = 8151) -> None:
-    """Blocking entry point used by ``repro.cli serve``."""
-    from ._deprecation import sanctioned, guard_legacy
-    guard_legacy("serve_forever")
-    with sanctioned():
-        server = RankingHTTPServer((host, port), service)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.shutdown()
-        server.server_close()
+            payload = await self.dispatch(op, parse_query(parsed.query),
+                                          body)
+        except Exception as exc:  # noqa: BLE001 — uniform JSON envelope
+            return exception_response(exc)
+        return 200, {}, payload

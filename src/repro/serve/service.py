@@ -27,9 +27,9 @@ from typing import Any, Dict, Optional, Tuple, Union
 
 import numpy as np
 
-from ._deprecation import sanctioned, guard_legacy
 from .batcher import MicroBatcher
 from .engine import InferenceEngine
+from .ops import ranking
 from .registry import ModelRegistry, RegistryError
 from .telemetry import ServingTelemetry
 
@@ -64,34 +64,31 @@ class RankingService:
                  idle_poll_ms: Optional[float] = None,
                  tick_budget_ms: Optional[float] = None,
                  stream_alpha: Optional[float] = None):
-        guard_legacy("RankingService")
-        with sanctioned():
-            if not isinstance(registry, ModelRegistry):
-                registry = ModelRegistry(registry)
-            self.registry = registry
-            self.telemetry = telemetry or ServingTelemetry()
-            self.default_timeout = float(default_timeout)
-            self._engines: Dict[str, InferenceEngine] = {}
-            self._engines_lock = threading.Lock()
-            self._last_served: Dict[ScoreKey, np.ndarray] = {}
-            self._last_served_lock = threading.Lock()
-            self._batcher = MicroBatcher(self._compute_scores,
-                                         max_batch=max_batch,
-                                         max_wait_ms=max_wait_ms,
-                                         workers=workers,
-                                         telemetry=self.telemetry,
-                                         straggler_poll_ms=straggler_poll_ms,
-                                         idle_poll_ms=idle_poll_ms)
-            from .stream import (DEFAULT_STREAM_ALPHA,
-                                 DEFAULT_TICK_BUDGET_MS, StreamIngestor)
-            self._ingestor = StreamIngestor(
-                self,
-                tick_budget_ms=(DEFAULT_TICK_BUDGET_MS
-                                if tick_budget_ms is None
-                                else tick_budget_ms),
-                alpha=(DEFAULT_STREAM_ALPHA if stream_alpha is None
-                       else stream_alpha))
-            self._closed = False
+        if not isinstance(registry, ModelRegistry):
+            registry = ModelRegistry(registry)
+        self.registry = registry
+        self.telemetry = telemetry or ServingTelemetry()
+        self.default_timeout = float(default_timeout)
+        self._engines: Dict[str, InferenceEngine] = {}
+        self._engines_lock = threading.Lock()
+        self._last_served: Dict[ScoreKey, np.ndarray] = {}
+        self._last_served_lock = threading.Lock()
+        self._batcher = MicroBatcher(self._compute_scores,
+                                     max_batch=max_batch,
+                                     max_wait_ms=max_wait_ms,
+                                     workers=workers,
+                                     telemetry=self.telemetry,
+                                     straggler_poll_ms=straggler_poll_ms,
+                                     idle_poll_ms=idle_poll_ms)
+        from .stream import (DEFAULT_STREAM_ALPHA, DEFAULT_TICK_BUDGET_MS,
+                             StreamIngestor)
+        self._ingestor = StreamIngestor(
+            self,
+            tick_budget_ms=(DEFAULT_TICK_BUDGET_MS if tick_budget_ms is None
+                            else tick_budget_ms),
+            alpha=(DEFAULT_STREAM_ALPHA if stream_alpha is None
+                   else stream_alpha))
+        self._closed = False
 
     # ------------------------------------------------------------------
     # engine / batch plumbing
@@ -103,8 +100,7 @@ class RankingService:
         with self._engines_lock:
             engine = self._engines.get(version)
             if engine is None:
-                with sanctioned():
-                    engine = InferenceEngine(self.registry.load(version))
+                engine = InferenceEngine(self.registry.load(version))
                 self._engines[version] = engine
             return engine
 
@@ -140,15 +136,24 @@ class RankingService:
             self._last_served[key] = scores
         return scores
 
-    def _scores_for(self, op: str, version: Optional[str],
-                    day: Optional[int], timeout: Optional[float]
-                    ) -> Tuple[np.ndarray, InferenceEngine, int, bool]:
-        """``(scores, engine, day, stale)`` via the batched path."""
+    def _ranking(self, op: str, label: str, version: Optional[str],
+                 day: Optional[int], timeout: Optional[float],
+                 k: Optional[int] = None) -> Dict[str, Any]:
+        """One :func:`~repro.serve.ops.ranking` envelope, scored through
+        the batcher; ``label`` names the op in telemetry."""
         if self._closed:
             raise RuntimeError("RankingService is closed")
-        start = time.perf_counter()
         engine = self.engine(version)           # raises RegistryError early
-        day = engine.resolve_day(day)
+
+        def scores_at(at: int) -> Tuple[np.ndarray, bool]:
+            return self._batched_scores(label, engine, at, timeout)
+
+        return ranking(op, engine, day, k=k, scores_at=scores_at)
+
+    def _batched_scores(self, label: str, engine: InferenceEngine, day: int,
+                        timeout: Optional[float]) -> Tuple[np.ndarray, bool]:
+        """``(scores, stale)`` via the batched path."""
+        start = time.perf_counter()
         key = (engine.servable.version, day)
         depth = self._batcher.depth()
         future = self._batcher.submit(key)
@@ -161,63 +166,40 @@ class RankingService:
             with self._last_served_lock:
                 fallback = self._last_served.get(key)
             if fallback is None:
-                self.telemetry.record_error(op)
+                self.telemetry.record_error(label)
                 raise ServiceTimeoutError(
                     f"no ranking for version={key[0]!r} day={day} within "
                     f"{budget:.3f}s and nothing previously served to fall "
                     "back on") from None
             scores, stale = fallback, True
         except BaseException:
-            self.telemetry.record_error(op)
+            self.telemetry.record_error(label)
             raise
-        self.telemetry.record_request(op, time.perf_counter() - start,
+        self.telemetry.record_request(label, time.perf_counter() - start,
                                       queue_depth=depth, fallback=stale)
-        return scores, engine, day, stale
+        return scores, stale
 
     # ------------------------------------------------------------------
-    # ranking API
+    # ranking API (envelopes: repro.serve.ops)
     # ------------------------------------------------------------------
     def predict_scores(self, version: Optional[str] = None,
                        day: Optional[int] = None,
                        timeout: Optional[float] = None) -> Dict[str, Any]:
         """Raw per-symbol scores at ``day`` (default: latest day)."""
-        scores, engine, day, stale = self._scores_for(
-            "predict_scores", version, day, timeout)
-        symbols = engine.dataset.universe.symbols
-        return self._envelope(engine, day, stale, scores={
-            symbol: float(score)
-            for symbol, score in zip(symbols, scores)})
+        return self._ranking("scores", "predict_scores", version, day,
+                             timeout)
 
     def top_k(self, k: int = 10, version: Optional[str] = None,
               day: Optional[int] = None,
               timeout: Optional[float] = None) -> Dict[str, Any]:
         """The ``k`` highest-scored symbols, best first."""
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
-        scores, engine, day, stale = self._scores_for(
-            "top_k", version, day, timeout)
-        symbols = engine.dataset.universe.symbols
-        k = min(int(k), len(symbols))
-        order = np.argsort(-scores, kind="stable")[:k]
-        return self._envelope(engine, day, stale, k=k, top_k=[
-            {"rank": rank + 1, "symbol": symbols[i],
-             "score": float(scores[i])}
-            for rank, i in enumerate(order)])
+        return self._ranking("top_k", "top_k", version, day, timeout, k=k)
 
     def rank_universe(self, version: Optional[str] = None,
                       day: Optional[int] = None,
                       timeout: Optional[float] = None) -> Dict[str, Any]:
         """Every symbol with its rank (1 = best) and score."""
-        scores, engine, day, stale = self._scores_for(
-            "rank_universe", version, day, timeout)
-        symbols = engine.dataset.universe.symbols
-        order = np.argsort(-scores, kind="stable")
-        ranks = np.empty(len(symbols), dtype=int)
-        ranks[order] = np.arange(1, len(symbols) + 1)
-        return self._envelope(engine, day, stale, ranking=[
-            {"rank": int(ranks[i]), "symbol": symbols[i],
-             "score": float(scores[i])}
-            for i in order])
+        return self._ranking("rank", "rank_universe", version, day, timeout)
 
     def rank_delta(self, version: Optional[str] = None,
                    day: Optional[int] = None,
@@ -228,33 +210,7 @@ class RankingService:
         yesterday.  The two days' scores go through the same batched
         path, so a burst of delta requests still coalesces.
         """
-        engine = self.engine(version)
-        today = engine.resolve_day(day)
-        prior = today - 1
-        if prior < engine.servable.window - 1:
-            raise ValueError(
-                f"day {today} has no prior servable day to diff against")
-        scores, engine, today, stale_t = self._scores_for(
-            "rank_delta", version, today, timeout)
-        prev_scores, _, _, stale_p = self._scores_for(
-            "rank_delta", version, prior, timeout)
-        symbols = engine.dataset.universe.symbols
-
-        def ranks_of(values: np.ndarray) -> np.ndarray:
-            order = np.argsort(-values, kind="stable")
-            ranks = np.empty(len(values), dtype=int)
-            ranks[order] = np.arange(1, len(values) + 1)
-            return ranks
-
-        today_ranks, prior_ranks = ranks_of(scores), ranks_of(prev_scores)
-        deltas = prior_ranks - today_ranks
-        order = np.argsort(today_ranks, kind="stable")
-        return self._envelope(engine, today, stale_t or stale_p,
-                              prior_day=prior, deltas=[
-            {"symbol": symbols[i], "rank": int(today_ranks[i]),
-             "prior_rank": int(prior_ranks[i]), "delta": int(deltas[i]),
-             "score": float(scores[i])}
-            for i in order])
+        return self._ranking("delta", "rank_delta", version, day, timeout)
 
     # ------------------------------------------------------------------
     # streaming ingest
@@ -274,13 +230,6 @@ class RankingService:
         return self._ingestor.ingest(body or {}, version=version)
 
     # ------------------------------------------------------------------
-    def _envelope(self, engine: InferenceEngine, day: int, stale: bool,
-                  **payload: Any) -> Dict[str, Any]:
-        return {"version": engine.servable.version,
-                "model": engine.servable.model_name,
-                "market": engine.dataset.market,
-                "day": day, "stale": stale, **payload}
-
     def stats(self) -> Dict[str, Any]:
         """Telemetry snapshot plus registry/engine/queue state."""
         snap = self.telemetry.snapshot()

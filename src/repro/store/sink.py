@@ -16,8 +16,7 @@ verbs —
 — with three implementations: :class:`StoreSink` (the sqlite store),
 :class:`JsonSink` (the legacy file formats, byte-compatible), and
 :class:`TeeSink` (fan-out, e.g. journal *and* store during migration).
-The old entry points (``publish_json``/``speed_entry`` in the bench
-harness) survive as deprecation shims that delegate here.
+The bench harness's ``publish_result`` writes through these sinks.
 """
 
 from __future__ import annotations

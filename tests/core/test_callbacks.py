@@ -1,7 +1,6 @@
-"""Trainer event API: callback order, the deprecation shim, evaluate()."""
+"""Trainer event API: callback order, the train() alias, evaluate()."""
 
 import numpy as np
-import pytest
 
 from repro.core import (CallbackList, RTGCN, TrainConfig, Trainer,
                         TrainerCallback)
@@ -88,12 +87,7 @@ class TestCallbackOrder:
 
 
 class TestDeprecationShim:
-    def test_train_progress_warns_but_still_fires(self, nasdaq_mini):
-        seen = []
-        trainer = make_trainer(nasdaq_mini)
-        with pytest.warns(DeprecationWarning, match="TrainerCallback"):
-            trainer.train(progress=lambda e, loss: seen.append(e))
-        assert seen == [0, 1]
+    """``train()`` is a plain alias of ``fit()``: no deprecation left."""
 
     def test_train_without_progress_does_not_warn(self, nasdaq_mini):
         import warnings
@@ -103,12 +97,6 @@ class TestDeprecationShim:
             warnings.simplefilter("error", DeprecationWarning)
             losses = trainer.train()
         assert len(losses) == 1
-
-    def test_run_progress_warns(self, nasdaq_mini):
-        trainer = make_trainer(nasdaq_mini, epochs=1)
-        with pytest.warns(DeprecationWarning):
-            result = trainer.run(progress=lambda e, loss: None)
-        assert len(result.epoch_losses) == 1
 
 
 class TestEvaluate:

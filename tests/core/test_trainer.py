@@ -1,9 +1,8 @@
 """Trainer: loss descent, prediction shapes, determinism, custom losses."""
 
 import numpy as np
-import pytest
 
-from repro.core import RTGCN, TrainConfig, Trainer
+from repro.core import RTGCN, ProgressCallback, TrainConfig, Trainer
 from repro.core.losses import regression_loss
 from repro.tensor import Tensor
 
@@ -26,9 +25,9 @@ class TestTraining:
     def test_progress_callback_invoked(self, nasdaq_mini, rng):
         model = RTGCN(nasdaq_mini.relations, relational_filters=4, rng=rng)
         seen = []
-        with pytest.warns(DeprecationWarning):   # legacy hook still works
-            Trainer(model, nasdaq_mini, quick_config(epochs=2)).train(
-                progress=lambda epoch, loss: seen.append((epoch, loss)))
+        Trainer(model, nasdaq_mini, quick_config(epochs=2)).fit(
+            callbacks=[ProgressCallback(
+                lambda epoch, loss: seen.append((epoch, loss)))])
         assert [e for e, _ in seen] == [0, 1]
 
     def test_max_train_days_limits_samples(self, nasdaq_mini, rng):

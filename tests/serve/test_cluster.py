@@ -67,10 +67,12 @@ class TestClusterServing:
         assert rank["ranking"][0]["symbol"] == topk["top_k"][0]["symbol"]
 
     def test_unversioned_alias_carries_deprecation_headers(self, cluster):
-        status, headers, body = _get(cluster, "/scores")
-        assert status == 200 and body["scores"]
-        assert headers.get("Deprecation") == "true"
-        assert "/v1/scores" in headers.get("Link", "")
+        # The unversioned aliases had their release; they are 404 now.
+        with pytest.raises(urllib.error.HTTPError) as err:
+            _get(cluster, "/scores")
+        assert err.value.code == 404
+        assert "Deprecation" not in err.value.headers
+        assert json.load(err.value)["error"]["code"] == "not_found"
 
     def test_error_envelope_is_uniform(self, cluster):
         host, port = cluster.address

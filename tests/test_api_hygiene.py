@@ -64,42 +64,32 @@ def test_key_paper_symbols_reachable_from_top_level():
         assert hasattr(repro, symbol)
 
 
+#: entry points removed after their deprecation release; none may return
+REMOVED_SERVE_NAMES = ("ModelRegistry", "InferenceEngine", "MicroBatcher",
+                       "RankingService", "RankingHTTPServer", "serve_forever",
+                       "LEGACY", "LegacyRemovedError", "guard_legacy",
+                       "sanctioned")
+
+
 class TestServeLegacyRemoval:
-    """PR 8 deprecated the hand-construction surface; this release removes
-    it: the names are gone from repro.serve and direct construction of the
-    underlying classes raises LegacyRemovedError."""
+    """The hand-construction surface and its removal guard are gone:
+    build(ServeConfig(...)) is the public path, and the layers it
+    composes are ordinary internals of their submodules."""
 
     def test_legacy_names_are_not_exported(self):
         import repro.serve as serve
-        for name in serve.LEGACY:
+        for name in REMOVED_SERVE_NAMES:
             assert name not in serve.__all__, \
                 f"removed legacy name {name!r} back in repro.serve.__all__"
             assert not hasattr(serve, name), \
                 f"removed legacy name {name!r} importable from repro.serve"
+        for module in ("repro.serve._deprecation", "repro.io"):
+            with pytest.raises(ModuleNotFoundError):
+                importlib.import_module(module)
 
-    def test_legacy_replacements_name_the_blessed_path(self):
-        import repro.serve as serve
-        for name, replacement in serve.LEGACY.items():
-            assert "ServeConfig" in replacement, (name, replacement)
-
-    def test_direct_construction_raises(self, tmp_path):
-        from repro.serve import LegacyRemovedError
-        from repro.serve.batcher import MicroBatcher
+    def test_direct_construction_works(self, tmp_path):
         from repro.serve.registry import ModelRegistry
-        from repro.serve.service import RankingService
-        with pytest.raises(LegacyRemovedError, match="ModelRegistry"):
-            ModelRegistry(tmp_path)
-        with pytest.raises(LegacyRemovedError, match="docs/serving.md"):
-            MicroBatcher(lambda key: key)
-        with pytest.raises(LegacyRemovedError, match="ServeConfig"):
-            RankingService(tmp_path)
-
-    def test_sanctioned_construction_still_works(self, tmp_path):
-        from repro.serve._deprecation import sanctioned
-        from repro.serve.registry import ModelRegistry
-        with sanctioned():
-            registry = ModelRegistry(tmp_path)
-        assert registry.discover() == []
+        assert ModelRegistry(tmp_path).discover() == []
 
     def test_blessed_build_path_never_raises(self, tmp_path):
         from repro.serve import ServeConfig, build

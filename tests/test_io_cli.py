@@ -7,24 +7,28 @@ import numpy as np
 import pytest
 
 import repro.nn as nn
+from repro.ckpt import (FORMAT_VERSION, CheckpointError, TrainingCheckpoint,
+                        load as load_checkpoint, save as save_checkpoint)
 from repro.cli import _config_from_args, build_parser, main
 from repro.core import RTGCN, TrainConfig
-from repro.io import load_checkpoint, save_checkpoint
 from repro.tensor import Tensor
 
 
 class TestCheckpoints:
-    """The deprecated ``repro.io`` shims (every call now warns)."""
+    """Parameters-only round trips through ``repro.ckpt``."""
 
     @staticmethod
-    def save(model, path, **kwargs):
-        with pytest.warns(DeprecationWarning, match="repro.ckpt"):
-            return save_checkpoint(model, path, **kwargs)
+    def save(model, path, metadata=None):
+        return save_checkpoint(TrainingCheckpoint(
+            model_state=model.state_dict(),
+            model_class=type(model).__name__,
+            metadata=metadata or {}), path)
 
     @staticmethod
-    def load(model, path, **kwargs):
-        with pytest.warns(DeprecationWarning, match="repro.ckpt"):
-            return load_checkpoint(model, path, **kwargs)
+    def load(model, path):
+        checkpoint = load_checkpoint(path)
+        model.load_state_dict(checkpoint.model_state)
+        return checkpoint
 
     def test_roundtrip_restores_outputs(self, tmp_path, rng):
         model = nn.Sequential(nn.Linear(4, 8), nn.Tanh(), nn.Linear(8, 2))
@@ -33,9 +37,9 @@ class TestCheckpoints:
         assert path.suffix == ".npz"
 
         clone = nn.Sequential(nn.Linear(4, 8), nn.Tanh(), nn.Linear(8, 2))
-        meta = self.load(clone, path)
-        assert meta["user"]["note"] == "hello"
-        assert meta["num_parameters"] == model.num_parameters()
+        checkpoint = self.load(clone, path)
+        assert checkpoint.metadata["note"] == "hello"
+        assert set(checkpoint.model_state) == set(model.state_dict())
         x = Tensor(rng.standard_normal((3, 4)))
         assert np.allclose(model(x).data, clone(x).data)
 
@@ -56,13 +60,14 @@ class TestCheckpoints:
         model = nn.Linear(3, 2)
         path = self.save(model, tmp_path / "linear.npz")
         other = nn.Sequential(nn.Linear(3, 2))
-        with pytest.raises(ValueError, match="Linear"):
+        with pytest.raises(KeyError, match="state_dict mismatch"):
             self.load(other, path)
+        assert load_checkpoint(path).model_class == "Linear"
 
     def test_not_a_checkpoint_rejected(self, tmp_path):
         bogus = tmp_path / "bogus.npz"
         np.savez(bogus, data=np.zeros(3))
-        with pytest.raises(ValueError, match="not a repro checkpoint"):
+        with pytest.raises(CheckpointError, match="not a repro checkpoint"):
             self.load(nn.Linear(2, 2), bogus)
 
     def test_suffix_added_automatically(self, tmp_path):
@@ -72,10 +77,9 @@ class TestCheckpoints:
         self.load(nn.Linear(2, 2), tmp_path / "plain")
 
     def test_writes_format_v2_readable_by_repro_ckpt(self, tmp_path):
-        from repro.ckpt import FORMAT_VERSION, load as load_ckpt
         model = nn.Linear(3, 3)
         path = self.save(model, tmp_path / "v2.npz")
-        checkpoint = load_ckpt(path)
+        checkpoint = load_checkpoint(path)
         assert checkpoint.format_version == FORMAT_VERSION
         assert checkpoint.model_class == "Linear"
         assert set(checkpoint.model_state) == set(model.state_dict())
@@ -90,8 +94,9 @@ class TestCheckpoints:
         path = tmp_path / "legacy.npz"
         np.savez(path, __checkpoint_meta__=blob, **model.state_dict())
         clone = nn.Linear(3, 2)
-        meta = self.load(clone, path)
-        assert meta["user"]["note"] == "pre-rebase"
+        checkpoint = self.load(clone, path)
+        assert checkpoint.format_version == 1
+        assert checkpoint.metadata["note"] == "pre-rebase"
         assert np.allclose(clone.weight.data, model.weight.data)
 
 
@@ -236,21 +241,12 @@ class TestServeQueryCLI:
 
     def test_query_round_trip(self, ckpt_dir, capsys):
         import json
-        import threading
 
-        from repro.serve._deprecation import sanctioned
-        from repro.serve.httpd import RankingHTTPServer
-        from repro.serve.registry import ModelRegistry
-        from repro.serve.service import RankingService
+        from repro.serve import ServeConfig, build
 
-        with sanctioned():
-            service = RankingService(ModelRegistry(ckpt_dir))
-            server = RankingHTTPServer(("127.0.0.1", 0), service)
-        thread = threading.Thread(target=server.serve_forever,
-                                  daemon=True)
-        thread.start()
-        try:
-            port = str(server.server_address[1])
+        with build(ServeConfig(checkpoint_dir=str(ckpt_dir),
+                               port=0)).start() as handle:
+            port = str(handle.address[1])
             assert main(["query", "--top-k", "10",
                          "--port", port]) == 0
             payload = json.loads(capsys.readouterr().out)
@@ -260,10 +256,6 @@ class TestServeQueryCLI:
                          "--port", port]) == 0
             assert json.loads(
                 capsys.readouterr().out)["status"] == "ok"
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=10.0)
 
     def test_serve_refuses_empty_directory(self, tmp_path):
         with pytest.raises(SystemExit, match="no checkpoints"):
