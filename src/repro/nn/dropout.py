@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -51,13 +51,19 @@ class SpatialDropout1d(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         x = ensure_tensor(x)
+        mask = self.mask(x.shape)
+        return x if mask is None else x * Tensor(mask)
+
+    def mask(self, shape: Tuple[int, ...]) -> Optional[np.ndarray]:
+        """Draw the scaled keep-mask ``(*shape[:-1], 1)`` that ``forward``
+        multiplies a ``shape`` input by, in storage dtype; ``None`` (and no
+        draw) when dropout is inactive."""
         if not self.training or self.p == 0.0:
-            return x
-        if x.ndim < 2:
+            return None
+        if len(shape) < 2:
             raise ValueError("SpatialDropout1d expects at least 2-D input")
-        mask_shape = x.shape[:-1] + (1,)
-        mask = (self._rng.uniform(size=mask_shape) >= self.p) / (1.0 - self.p)
-        return x * Tensor(mask)
+        keep = (self._rng.uniform(size=tuple(shape[:-1]) + (1,)) >= self.p)
+        return Tensor(keep / (1.0 - self.p)).data
 
     def __repr__(self) -> str:
         return f"SpatialDropout1d(p={self.p})"

@@ -14,7 +14,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ..tensor import Tensor
+from ..tensor import Tensor, ensure_tensor
+from ..tensor.fused import fused_enabled, temporal_block_fused
 from .conv import CausalWeightNormConv1d, Conv1d
 from .dropout import SpatialDropout1d
 from .module import Module
@@ -45,6 +46,7 @@ class TemporalBlock(Module):
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.stride = stride
+        self.dilation = dilation
         self.conv1 = CausalWeightNormConv1d(
             in_channels, out_channels, kernel_size, stride=stride,
             dilation=dilation, rng=rng)
@@ -60,10 +62,25 @@ class TemporalBlock(Module):
             self.downsample = None
 
     def forward(self, x: Tensor) -> Tensor:
+        if fused_enabled():
+            return self._forward_fused(ensure_tensor(x))
         out = self.drop1(self.conv1(x).relu())
         out = self.drop2(self.conv2(out).relu())
         residual = x if self.downsample is None else self.downsample(x)
         return (out + residual).relu()
+
+    def _forward_fused(self, x: Tensor) -> Tensor:
+        # The masks are drawn in the composed order (drop1, then drop2);
+        # nothing else in the block uses the RNG.
+        mask_shape = (x.shape[0], self.out_channels, 1)
+        masks = (self.drop1.mask(mask_shape), self.drop2.mask(mask_shape))
+        down = self.downsample
+        return temporal_block_fused(
+            x, self.conv1._weight(), self.conv1.bias,
+            self.conv2._weight(), self.conv2.bias,
+            None if down is None else down._weight(),
+            None if down is None else down.bias,
+            stride=self.stride, dilation=self.dilation, masks=masks)
 
 
 class TemporalConvNet(Module):

@@ -3,8 +3,8 @@
 :class:`OpProfiler` instruments every primitive of :mod:`repro.tensor` —
 the ``Tensor`` operator methods, the module-level graph functions
 (``concat``, ``stack``, ``where``, ``maximum``, ``einsum``), the sparse
-primitives (``spmm``, ``sddmm``, segment ops) and the conv1d window
-gather — and records, per primitive and per pass (forward / backward):
+primitives (``spmm``, ``sddmm``, segment ops), ``conv1d`` and the fused
+nodes — and records, per primitive and per pass (forward / backward):
 call count, wall-clock seconds, and the bytes of the array each call
 produced.
 
@@ -63,6 +63,10 @@ _FUNCTION_PRIMITIVES: Dict[str, str] = {
     "maximum": "maximum", "einsum": "einsum",
 }
 
+#: single-node functional ops of :mod:`repro.tensor.ops`; ``conv1d`` runs
+#: its GEMMs and col2im inside one node, so it is one primitive.
+_OPS_PRIMITIVES: Dict[str, str] = {"conv1d": "conv1d"}
+
 #: sparse primitives of :mod:`repro.tensor.sparse`, attributed under their
 #: own names so a sparse run shows ``spmm`` replacing dense ``matmul`` in
 #: the op table.  They are monolithic (raw-kernel forward + closure
@@ -81,6 +85,7 @@ _FUSED_PRIMITIVES: Dict[str, str] = {
     "lstm_cell_fused": "lstm_cell_fused",
     "gru_cell_fused": "gru_cell_fused",
     "gcn_propagate_fused": "gcn_propagate_fused",
+    "temporal_block_fused": "temporal_block_fused",
 }
 
 #: arena counters whose install→report deltas the profiler exposes.
@@ -200,6 +205,7 @@ class OpProfiler:
         # Module-level functions: rebind every repro module-global that is
         # the same object as the canonical definition in its home module.
         for home, mapping in ((_tensor_module, _FUNCTION_PRIMITIVES),
+                              (_ops_module, _OPS_PRIMITIVES),
                               (_sparse_module, _SPARSE_PRIMITIVES),
                               (_fused_module, _FUSED_PRIMITIVES)):
             for attr, name in mapping.items():
@@ -213,12 +219,6 @@ class OpProfiler:
                         if value is original:
                             self._patches.append((module, key, value))
                             setattr(module, key, replacement)
-
-        # The conv1d sliding-window gather has a bespoke scatter backward
-        # that dominates convolution cost; profile it as its own primitive.
-        original = _ops_module._extract_windows
-        self._patches.append((_ops_module, "_extract_windows", original))
-        _ops_module._extract_windows = self._wrap(original, "conv1d_window")
         return self
 
     def uninstall(self) -> None:

@@ -3,9 +3,9 @@
 The autograd engine's per-node Python dispatch dominates small-op chains:
 an LSTM cell alone records ~20 tape nodes per step.  Each fused op below
 collapses one such chain (affine+activation, a full LSTM/GRU cell, GCN
-propagation) into one or two nodes with a closed-form backward, cutting
-tape length and intermediate materialization on both dense and sparse
-graph modes.
+propagation, a TCN residual block) into one or two nodes with a
+closed-form backward, cutting tape length and intermediate
+materialization on both dense and sparse graph modes.
 
 Equivalence contract
 --------------------
@@ -33,13 +33,16 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
+from .arena import arena_enabled
+from .ops import (_conv_forward, _conv_geometry, _conv_input_grad,
+                  _conv_weight_grad)
 from .sparse import SparseTensor, _csr_matmul, _sampled_inner
 from .tensor import Tensor, _unbroadcast, ensure_tensor
 
 __all__ = [
     "set_fused_enabled", "fused_enabled", "fused_kernels",
     "affine_act_fused", "lstm_cell_fused", "gru_cell_fused",
-    "gcn_propagate_fused",
+    "gcn_propagate_fused", "temporal_block_fused",
 ]
 
 _enabled = True
@@ -341,3 +344,148 @@ def gcn_propagate_fused(x: Tensor, adj, weight: Tensor,
     if bias is not None:
         parents = parents + (bias,)
     return x._make_child(out_data, parents, backward)
+
+
+# ----------------------------------------------------------------------
+# fused TCN residual block
+# ----------------------------------------------------------------------
+def _node_grad(grad: np.ndarray, dtype: np.dtype) -> np.ndarray:
+    """``grad`` as a composed node of storage ``dtype`` would hold it.
+
+    The engine casts every node gradient to the node's dtype, and with the
+    arena on copies it into a C-ordered buffer.  The copy itself is not
+    needed, but the layout is: NumPy's axis reductions and BLAS calls
+    round differently on differently laid-out operands.
+    """
+    if arena_enabled():
+        return np.ascontiguousarray(grad, dtype=dtype)
+    return grad.astype(dtype, copy=False)
+
+
+def _mul_(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a * b`` for an ``a`` the caller owns, written over ``a`` when
+    NumPy would lay the product out like ``a`` anyway: a C-ordered
+    operand makes the product C-ordered whatever ``b``'s layout."""
+    if a.flags.c_contiguous and np.result_type(a, b) == a.dtype:
+        return np.multiply(a, b, out=a)
+    return a * b
+
+
+def _conv_bias(out: np.ndarray, bias: Optional[Tensor]) -> np.ndarray:
+    """``out + bias`` over channels, in ``out``'s buffer when the dtype
+    allows (a broadcast bias leaves the sum in ``out``'s layout anyway)."""
+    if bias is None:
+        return out
+    bias = bias.data.reshape(1, -1, 1)
+    if np.result_type(out, bias) != out.dtype:
+        return out + bias
+    return np.add(out, bias, out=out)
+
+
+def _relu_(pre: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(relu(pre), pre > 0)``, the ReLU written over ``pre``."""
+    mask = pre > 0
+    return np.multiply(pre, mask, out=pre), mask
+
+
+def _conv_bias_vjp(grad: np.ndarray, dtype: np.dtype,
+                   bias: Optional[Tensor]) -> np.ndarray:
+    """Accumulate the bias gradient of ``out = conv + bias``; return the
+    gradient of ``out`` as its node holds it."""
+    grad = _node_grad(grad, dtype)
+    if bias is not None and bias.requires_grad:
+        bias._accumulate(_unbroadcast(grad, (1, grad.shape[1], 1))
+                         .reshape(-1))
+    return grad
+
+
+def temporal_block_fused(x: Tensor, w1: Tensor, b1: Optional[Tensor],
+                         w2: Tensor, b2: Optional[Tensor],
+                         wd: Optional[Tensor] = None,
+                         bd: Optional[Tensor] = None, stride: int = 1,
+                         dilation: int = 1,
+                         masks: Tuple[Optional[np.ndarray],
+                                      Optional[np.ndarray]] = (None, None)
+                         ) -> Tensor:
+    """The TCN residual block of §IV-C (Eq. 6) as one tape node.
+
+    Computes ``relu(d2 + res)`` with ``d2 = m2 * relu(conv2(d1))``,
+    ``d1 = m1 * relu(conv1(x))`` and ``res = x`` or the 1×1 strided
+    downsample ``conv(x, wd) + bd``.  ``conv1`` (stride ``stride``) and
+    ``conv2`` (stride 1) are causal: left-padded by ``dilation * (k - 1)``.
+    ``masks`` are the scaled spatial-dropout masks ``(B, C_out, 1)`` in
+    storage dtype, or ``None`` where dropout is off; the caller draws them
+    in the composed block's order so the RNG stream is unchanged.
+
+    Each bias add and ReLU runs in its convolution GEMM's ``(C, B, L)``
+    output buffer.  Every array that reaches a GEMM or an axis sum has the
+    layout it had in the composed block, and the backward replays the
+    composed VJPs in the engine's order, so results are bitwise equal to
+    the composed block under ``float64``.  The weights are plain inputs:
+    weight normalization stays composed in front of this node.
+    """
+    x = ensure_tensor(x)
+    m1, m2 = masks
+    pad = dilation * (w1.shape[2] - 1)
+    _, _, len1 = _conv_geometry(x.shape, w1.shape, stride, (pad, 0),
+                                dilation)
+    h1_raw, cols1 = _conv_forward(x.data, w1.data, stride, dilation, pad, 0,
+                                  len1)
+    r1, mask_h1 = _relu_(_conv_bias(h1_raw, b1))
+    d1 = r1 if m1 is None else r1 * m1
+    pad2 = dilation * (w2.shape[2] - 1)
+    _, _, len2 = _conv_geometry(d1.shape, w2.shape, 1, (pad2, 0), dilation)
+    h2_raw, cols2 = _conv_forward(d1, w2.data, 1, dilation, pad2, 0, len2)
+    r2, mask_h2 = _relu_(_conv_bias(h2_raw, b2))
+    d2 = r2 if m2 is None else r2 * m2
+    if wd is None:
+        res = x.data
+    else:
+        _, _, len_d = _conv_geometry(x.shape, wd.shape, stride, 0, 1)
+        res_raw, cols_d = _conv_forward(x.data, wd.data, stride, 1, 0, 0,
+                                        len_d)
+        res = _conv_bias(res_raw, bd)
+    if d2.shape != res.shape:
+        raise ValueError(f"residual shape {res.shape} does not match block "
+                         f"output {d2.shape}; give a downsample")
+    out_data, mask_s = _relu_(d2 + res)
+
+    dt_out, dt_d1, dt_r1, dt_r2, dt_res = (
+        out_data.dtype, d1.dtype, r1.dtype, r2.dtype, res.dtype)
+
+    def backward(grad: np.ndarray) -> None:
+        g_s = _node_grad(grad * mask_s, dt_out)
+        dx_res = None
+        if wd is None:
+            if x.requires_grad:
+                x._accumulate(g_s)
+        else:
+            g_res = _conv_bias_vjp(g_s, dt_res, bd)
+            if wd.requires_grad:
+                wd._accumulate(_conv_weight_grad(cols_d, g_res, wd.shape))
+            if x.requires_grad:
+                dx_res = _conv_input_grad(g_res, wd.data, x.data, stride, 1,
+                                          0, 0)
+        # g_s is spent: the conv branch may overwrite it from here on.
+        g_r2 = g_s if m2 is None else _node_grad(_mul_(g_s, m2), dt_r2)
+        g_h2 = _conv_bias_vjp(_mul_(g_r2, mask_h2), dt_r2, b2)
+        if w2.requires_grad:
+            w2._accumulate(_conv_weight_grad(cols2, g_h2, w2.shape))
+        g_d1 = _node_grad(
+            _conv_input_grad(g_h2, w2.data, d1, 1, dilation, pad2, 0), dt_d1)
+        g_r1 = g_d1 if m1 is None else _node_grad(_mul_(g_d1, m1), dt_r1)
+        g_h1 = _conv_bias_vjp(_mul_(g_r1, mask_h1), dt_r1, b1)
+        if w1.requires_grad:
+            w1._accumulate(_conv_weight_grad(cols1, g_h1, w1.shape))
+        if x.requires_grad:
+            # the composed engine reaches the conv branch's input gradient
+            # before the downsample's
+            x._accumulate(_conv_input_grad(g_h1, w1.data, x.data, stride,
+                                           dilation, pad, 0))
+            if dx_res is not None:
+                x._accumulate(dx_res)
+
+    # ``x`` goes last: the engine walks the last parent first, which puts
+    # the weights' backward ahead of the input's, as in the composed block.
+    parents = tuple(t for t in (w1, b1, w2, b2, wd, bd) if t is not None)
+    return x._make_child(out_data, parents + (x,), backward)

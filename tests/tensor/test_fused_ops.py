@@ -12,11 +12,12 @@ Every fused kernel is gated twice, per the equivalence contract of
 import numpy as np
 import pytest
 
-from repro.nn import GRUCell, GraphConv, LSTMCell, Linear
+from repro.nn import GRUCell, GraphConv, LSTMCell, Linear, TemporalBlock
 from repro.tensor import (Tensor, SparsePattern, SparseTensor,
-                          affine_act_fused, dtype_policy, fused_kernels,
-                          gcn_propagate_fused, gradcheck, gru_cell_fused,
-                          lstm_cell_fused)
+                          affine_act_fused, arena, dtype_policy,
+                          fused_kernels, gcn_propagate_fused, gradcheck,
+                          gru_cell_fused, lstm_cell_fused,
+                          tape_node_count, temporal_block_fused)
 
 #: relative tolerance documented for float32 fused-vs-composed agreement
 #: (see docs/performance.md) — rounding differs only through fp32 noise.
@@ -236,6 +237,108 @@ class TestGCNPropagateFused:
                 lambda: (layer(x, SparseTensor(pattern, values)) ** 2)
                 .sum(), leaves)
             _compare(policy, f_loss, c_loss, f_grads, c_grads)
+
+
+class TestTemporalBlockFused:
+    """The TCN residual block (conv → ReLU → spatial dropout, twice, plus
+    the residual) as one node, against the composed block."""
+
+    @staticmethod
+    def _block(policy, c_in, c_out, stride, dilation, dropout=0.3):
+        block = TemporalBlock(c_in, c_out, kernel_size=3, stride=stride,
+                              dilation=dilation, dropout=dropout,
+                              rng=np.random.default_rng(5))
+        block.astype(np.dtype(np.float64 if policy == "float64"
+                              else np.float32))
+        return block
+
+    @staticmethod
+    def _run(block, base, weights, enabled):
+        """Loss, grads and the dropout RNG state after one pass.
+
+        The input is a transposed view, and the loss reads the output
+        through a transpose, as ``core.TemporalConvolution`` does."""
+        leaves = [base] + list(block.parameters())
+        for leaf in leaves:
+            leaf.zero_grad()
+        rng = np.random.default_rng(11)
+        block.drop1._rng = block.drop2._rng = rng
+        with fused_kernels(enabled):
+            out = block(base.transpose(1, 2, 0))
+            loss = (out.transpose(2, 0, 1) ** 2 * weights[:out.shape[2]]).sum()
+        loss.backward()
+        return (out.data.copy(), _grads(leaves),
+                rng.bit_generator.state["state"]["state"])
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("c_in,c_out,stride,dilation", [
+        (4, 4, 1, 1),     # identity residual
+        (3, 5, 2, 1),     # stride 2 + downsample
+        (5, 5, 1, 2),     # dilation 2, identity residual
+        (4, 6, 2, 2),     # both, downsample
+    ])
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("use_arena", [False, True])
+    def test_matches_composed_block(self, rng, policy, c_in, c_out, stride,
+                                    dilation, training, use_arena):
+        block = self._block(policy, c_in, c_out, stride, dilation)
+        block.train(training)
+        with dtype_policy(policy), arena(use_arena):
+            base = _t(rng, (12, 7, c_in))       # (T, N, C)
+            weights = Tensor(rng.standard_normal((12, 7, c_out)))
+            fused = self._run(block, base, weights, True)
+            composed = self._run(block, base, weights, False)
+        _compare(policy, fused[0], composed[0], fused[1], composed[1])
+        assert fused[2] == composed[2], "dropout RNG stream moved"
+
+    # float64 only: float32 central differences straddle the ReLU kinks.
+    @pytest.mark.parametrize("stride,downsample", [(1, False), (2, True)])
+    def test_gradcheck(self, rng, stride, downsample):
+        with dtype_policy("float64"):
+            c_out = 3 if downsample else 2
+            x = _t(rng, (2, 2, 9))
+            w1 = _t(rng, (c_out, 2, 3), 0.5)
+            b1 = _t(rng, (c_out,))
+            w2 = _t(rng, (c_out, c_out, 3), 0.5)
+            b2 = _t(rng, (c_out,))
+            extra = [_t(rng, (c_out, 2, 1)), _t(rng, (c_out,))] \
+                if downsample else [None, None]
+            masks = tuple(Tensor((rng.random((2, c_out, 1)) > 0.3) / 0.7)
+                          .data for _ in range(2))
+            r = Tensor(rng.standard_normal((2, c_out, 9)))
+            leaves = [t for t in (x, w1, b1, w2, b2, *extra)
+                      if t is not None]
+
+            def loss():
+                out = temporal_block_fused(x, w1, b1, w2, b2, *extra,
+                                           stride=stride, dilation=2,
+                                           masks=masks)
+                return (out * Tensor(r.data[:, :, :out.shape[2]])).sum()
+
+            gradcheck(loss, leaves)
+
+    def test_records_one_tape_node(self, rng):
+        block = self._block("float64", 3, 5, 2, 1)
+        x = _t(rng, (4, 3, 10))
+        weights_norm = [block.conv1._weight(), block.conv2._weight()]
+        before = tape_node_count()
+        temporal_block_fused(x, weights_norm[0], block.conv1.bias,
+                             weights_norm[1], block.conv2.bias,
+                             block.downsample.weight, block.downsample.bias,
+                             stride=2)
+        assert tape_node_count() - before == 1
+
+    def test_shortens_tape(self, rng):
+        block = self._block("float64", 3, 5, 2, 1)
+        x = _t(rng, (4, 3, 10))
+
+        def nodes(enabled):
+            with fused_kernels(enabled):
+                before = tape_node_count()
+                block(x).sum().backward()
+                return tape_node_count() - before
+
+        assert nodes(True) < nodes(False)
 
 
 class TestFusedSwitch:

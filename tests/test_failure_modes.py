@@ -37,6 +37,20 @@ class TestTensorContracts:
         out = conv1d(x, w)
         assert out.shape == (0, 3, 7)
 
+    @pytest.mark.parametrize("kwargs,name", [
+        (dict(dilation=0), "dilation"),
+        (dict(dilation=-2), "dilation"),
+        (dict(stride=0), "stride"),
+        (dict(stride=-1), "stride"),
+        (dict(padding=-1), "padding"),
+        (dict(padding=(2, -1)), "padding"),
+    ])
+    def test_conv_rejects_bad_geometry(self, rng, kwargs, name):
+        x = Tensor(rng.standard_normal((2, 1, 6)))
+        w = Tensor(rng.standard_normal((1, 1, 3)))
+        with pytest.raises(ValueError, match=name):
+            conv1d(x, w, **kwargs)
+
 
 class TestDataContracts:
     def test_negative_prices_rejected(self):
