@@ -37,7 +37,7 @@ class InputAttention(Module):
         super().__init__()
         gen = rng if rng is not None else get_rng()
         self.state_proj = Linear(2 * hidden_size, num_features, rng=gen)
-        self.feature_gate = Parameter(np.empty(num_features))
+        self.feature_gate = Parameter(np.zeros(num_features))
         init.uniform_(self.feature_gate, -0.1, 0.1, rng=gen)
 
     def forward(self, x_t: Tensor, h: Tensor, c: Tensor) -> Tensor:

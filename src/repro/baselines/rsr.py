@@ -59,11 +59,11 @@ class RSR(Module):
         self.hidden_size = hidden_size
         k = relations.num_types
         if mode == "explicit":
-            self.rel_weight = Parameter(np.empty(k))
+            self.rel_weight = Parameter(np.zeros(k))
             init.uniform_(self.rel_weight, -0.1, 0.1, rng=gen)
             self.rel_bias = Parameter(np.zeros(1))
         else:
-            self.pair_weight = Parameter(np.empty(2 * hidden_size + k))
+            self.pair_weight = Parameter(np.zeros(2 * hidden_size + k))
             init.uniform_(self.pair_weight, -0.1, 0.1, rng=gen)
             self.pair_bias = Parameter(np.zeros(1))
         self.scorer = Linear(2 * hidden_size, 1, rng=gen)

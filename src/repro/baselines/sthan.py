@@ -54,7 +54,7 @@ class HawkesAttention(Module):
         super().__init__()
         gen = rng if rng is not None else get_rng()
         self.proj = Linear(hidden_size, hidden_size, rng=gen)
-        self.context = Parameter(np.empty(hidden_size))
+        self.context = Parameter(np.zeros(hidden_size))
         init.uniform_(self.context, -0.1, 0.1, rng=gen)
         # softplus(raw_decay) keeps the decay rate positive.
         self.raw_decay = Parameter(np.zeros(1))

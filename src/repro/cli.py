@@ -129,7 +129,6 @@ _FIELD_HELP = {
                     "(fp32 storage, fp64 accumulation; "
                     "see docs/performance.md)",
     "fused_kernels": "use the fused autograd kernels",
-    "buffer_arena": "recycle backward buffers through the arena",
     "dist_workers": "intra-run data-parallel workers: 0 = plain serial "
                     "trainer, 1 = inline dist reference, N = forked "
                     "workers, negative = one per CPU core; the numbers "
@@ -465,7 +464,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
                              key=lambda kv: -kv[1]["seconds"]):
         print(f"{name:16s} {stat['count']:9d} {stat['seconds']:10.4f}")
 
-    arena = profiler.arena_summary()
     report = RunReport(
         run_id=new_run_id("profile"), kind="profile",
         config={"market": args.market, "model": args.model,
@@ -475,10 +473,6 @@ def cmd_profile(args: argparse.Namespace) -> int:
         phases=phases, ops=profiler.as_rows(),
         metrics={"train_seconds": result.train_seconds,
                  "test_seconds": result.test_seconds,
-                 "arena_hit_rate": arena["hit_rate"],
-                 "arena_hits": arena["hits"],
-                 "arena_misses": arena["misses"],
-                 "arena_bytes_reused": arena["bytes_reused"],
                  "blas_threads": blas_threads()})
     if args.json_path is not None:
         import json

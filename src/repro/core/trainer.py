@@ -31,8 +31,8 @@ from ..nn.module import Module
 from ..nn.random import get_rng
 from ..obs.tracer import trace
 from ..optim import Adam, clip_grad_norm_
-from ..tensor import (Tensor, arena, default_dtype, dtype_policy,
-                      fused_kernels, no_grad)
+from ..tensor import (Tensor, default_dtype, dtype_policy, fused_kernels,
+                      no_grad)
 from .callbacks import CallbackList, TrainerCallback
 from .losses import combined_loss
 
@@ -85,11 +85,9 @@ class TrainConfig:
     # Numerics (see docs/performance.md): the dtype policy active for the
     # whole run ("float64", "float32", or "mixed" — fp32 storage with fp64
     # accumulation in reductions), whether the fused autograd kernels are
-    # used (bitwise-equal to the composed ops under float64), and whether
-    # backward temporaries are recycled through the buffer arena.
+    # used (bitwise-equal to the composed ops under float64).
     dtype_policy: str = "float64"
     fused_kernels: bool = True
-    buffer_arena: bool = False
     # Intra-run data parallelism (see docs/distributed.md): 0 disables
     # (plain serial loop), N >= 1 runs the repro.dist fit loop with N
     # worker processes (1 = inline, the serial numerical reference;
@@ -354,9 +352,8 @@ class Trainer:
         that was never interrupted.
 
         The whole loop runs under the config's numerics settings:
-        ``dtype_policy`` (activated as the thread's dtype policy),
-        ``fused_kernels``, and — when ``buffer_arena`` is set — the
-        backward buffer arena.
+        ``dtype_policy`` (activated as the thread's dtype policy) and
+        ``fused_kernels``.
 
         With ``dist_workers`` non-zero the fit is delegated to the
         :mod:`repro.dist` data-parallel loop (same callbacks, same
@@ -370,9 +367,6 @@ class Trainer:
                                    resume_from=resume_from)
         with dtype_policy(cfg.dtype_policy), \
                 fused_kernels(cfg.fused_kernels):
-            if cfg.buffer_arena:
-                with arena():
-                    return self._fit_loop(callbacks, resume_from)
             return self._fit_loop(callbacks, resume_from)
 
     def _fit_loop(self, callbacks: Optional[Sequence[TrainerCallback]],

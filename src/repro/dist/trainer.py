@@ -36,7 +36,7 @@ from ..core.callbacks import CallbackList, TrainerCallback
 from ..core.trainer import NonFiniteLossError, Trainer, _FitState
 from ..obs.tracer import trace
 from ..optim import clip_grad_norm_
-from ..tensor import arena, dtype_policy, fused_kernels
+from ..tensor import dtype_policy, fused_kernels
 from .params import GradSlots, ParamStore
 from .plan import ShardPlan
 from .reduce import GradReducer
@@ -95,8 +95,7 @@ def fit_distributed(trainer: Trainer,
     reducer = GradReducer()
 
     with dtype_policy(cfg.dtype_policy), \
-            fused_kernels(cfg.fused_kernels), \
-            arena(bool(cfg.buffer_arena)):
+            fused_kernels(cfg.fused_kernels):
         store = ParamStore(model, trainer.optimizer)
         slots = GradSlots(
             {name: param.data

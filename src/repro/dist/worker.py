@@ -51,7 +51,7 @@ from ..parallel.pool import (ParallelUnavailableError, TaskFailedError,
                              WorkerCrashError, WorkerHandle, die_with_parent,
                              fork_available)
 from ..parallel.telemetry import PoolTelemetry
-from ..tensor import Tensor, arena, clear_arena, dtype_policy, fused_kernels
+from ..tensor import Tensor, dtype_policy, fused_kernels
 from .params import GradSlots, ParamStore
 from .plan import Shard, StepGroup
 
@@ -168,18 +168,15 @@ def _dist_worker_main(slot: int, task_conn, event_conn,
 
     Runs in the forked child.  Exits on the ``None`` sentinel or a dead
     parent.  The child re-derives its numerics environment instead of
-    trusting inherited thread state: fresh read-only parameter views, a
-    cleared buffer arena (fork must not alias the parent's recycled
-    buffers), and the config's dtype/fusion policy.
+    trusting inherited thread state: fresh read-only parameter views and
+    the config's dtype/fusion policy.
     """
     die_with_parent()
-    clear_arena()
     cfg = context.config
     context.store.adopt_worker(context.model)
     grad_views = context.slots.views(slot)
     with dtype_policy(cfg.dtype_policy), \
-            fused_kernels(cfg.fused_kernels), \
-            arena(bool(cfg.buffer_arena)):
+            fused_kernels(cfg.fused_kernels):
         while True:
             try:
                 task = task_conn.recv()

@@ -172,7 +172,7 @@ class WeightStrategy(RelationStrategy):
         super().__init__(relations, graph_mode=graph_mode,
                          density_threshold=density_threshold)
         gen = rng if rng is not None else get_rng()
-        self.weight = Parameter(np.empty(relations.num_types))
+        self.weight = Parameter(np.zeros(relations.num_types))
         init.uniform_(self.weight, 0.5, 1.5, rng=gen)
         self.bias = Parameter(np.zeros(1))
         self._relation_tensor = Tensor(relations.tensor)
@@ -219,7 +219,7 @@ class TimeSensitiveStrategy(RelationStrategy):
         super().__init__(relations, graph_mode=graph_mode,
                          density_threshold=density_threshold)
         gen = rng if rng is not None else get_rng()
-        self.weight = Parameter(np.empty(relations.num_types))
+        self.weight = Parameter(np.zeros(relations.num_types))
         init.uniform_(self.weight, 0.5, 1.5, rng=gen)
         self.bias = Parameter(np.zeros(1))
         self._relation_tensor = Tensor(relations.tensor)

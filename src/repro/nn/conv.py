@@ -34,10 +34,10 @@ class Conv1d(Module):
         self.dilation = dilation
         gen = rng if rng is not None else get_rng()
         self.weight = Parameter(
-            np.empty((out_channels, in_channels, kernel_size)))
+            np.zeros((out_channels, in_channels, kernel_size)))
         init.kaiming_uniform_(self.weight, rng=gen)
         if bias:
-            self.bias = Parameter(np.empty(out_channels))
+            self.bias = Parameter(np.zeros(out_channels))
             init.bias_uniform_(self.bias, in_channels * kernel_size, rng=gen)
         else:
             self.bias = None

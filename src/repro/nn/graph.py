@@ -70,7 +70,7 @@ class GraphConv(Module):
         self.in_features = in_features
         self.out_features = out_features
         gen = rng if rng is not None else get_rng()
-        self.weight = Parameter(np.empty((out_features, in_features)))
+        self.weight = Parameter(np.zeros((out_features, in_features)))
         init.xavier_uniform_(self.weight, rng=gen)
         if bias:
             self.bias = Parameter(np.zeros(out_features))
@@ -142,9 +142,9 @@ class GraphAttention(Module):
         head_dim = out_features // n_heads if concat_heads else out_features
         self.head_dim = head_dim
         gen = rng if rng is not None else get_rng()
-        self.weight = Parameter(np.empty((n_heads, head_dim, in_features)))
-        self.attn_src = Parameter(np.empty((n_heads, head_dim)))
-        self.attn_dst = Parameter(np.empty((n_heads, head_dim)))
+        self.weight = Parameter(np.zeros((n_heads, head_dim, in_features)))
+        self.attn_src = Parameter(np.zeros((n_heads, head_dim)))
+        self.attn_dst = Parameter(np.zeros((n_heads, head_dim)))
         for h in range(n_heads):
             bound = np.sqrt(6.0 / (in_features + head_dim))
             self.weight.data[h] = gen.uniform(-bound, bound,

@@ -35,10 +35,10 @@ class Linear(Module):
         self.in_features = in_features
         self.out_features = out_features
         gen = rng if rng is not None else get_rng()
-        self.weight = Parameter(np.empty((out_features, in_features)))
+        self.weight = Parameter(np.zeros((out_features, in_features)))
         init.kaiming_uniform_(self.weight, rng=gen)
         if bias:
-            self.bias = Parameter(np.empty(out_features))
+            self.bias = Parameter(np.zeros(out_features))
             init.bias_uniform_(self.bias, in_features, rng=gen)
         else:
             self.bias = None

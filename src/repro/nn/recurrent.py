@@ -27,8 +27,8 @@ class LSTMCell(Module):
         self.input_size = input_size
         self.hidden_size = hidden_size
         gen = rng if rng is not None else get_rng()
-        self.weight_ih = Parameter(np.empty((4 * hidden_size, input_size)))
-        self.weight_hh = Parameter(np.empty((4 * hidden_size, hidden_size)))
+        self.weight_ih = Parameter(np.zeros((4 * hidden_size, input_size)))
+        self.weight_hh = Parameter(np.zeros((4 * hidden_size, hidden_size)))
         self.bias = Parameter(np.zeros(4 * hidden_size))
         init.xavier_uniform_(self.weight_ih, rng=gen)
         init.xavier_uniform_(self.weight_hh, rng=gen)
@@ -114,8 +114,8 @@ class GRUCell(Module):
         self.input_size = input_size
         self.hidden_size = hidden_size
         gen = rng if rng is not None else get_rng()
-        self.weight_ih = Parameter(np.empty((3 * hidden_size, input_size)))
-        self.weight_hh = Parameter(np.empty((3 * hidden_size, hidden_size)))
+        self.weight_ih = Parameter(np.zeros((3 * hidden_size, input_size)))
+        self.weight_hh = Parameter(np.zeros((3 * hidden_size, hidden_size)))
         self.bias_ih = Parameter(np.zeros(3 * hidden_size))
         self.bias_hh = Parameter(np.zeros(3 * hidden_size))
         init.xavier_uniform_(self.weight_ih, rng=gen)

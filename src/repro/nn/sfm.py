@@ -38,14 +38,14 @@ class SFMCell(Module):
         # Gates: input i, state-forget f_ste (H), frequency-forget f_fre (K),
         # modulation c~, output o.
         gate_rows = 3 * hidden_size + n_freq + hidden_size  # i, f_ste, c~, o, + f_fre
-        self.weight_ih = Parameter(np.empty((gate_rows, input_size)))
-        self.weight_hh = Parameter(np.empty((gate_rows, hidden_size)))
+        self.weight_ih = Parameter(np.zeros((gate_rows, input_size)))
+        self.weight_hh = Parameter(np.zeros((gate_rows, hidden_size)))
         self.bias = Parameter(np.zeros(gate_rows))
         init.xavier_uniform_(self.weight_ih, rng=gen)
         init.xavier_uniform_(self.weight_hh, rng=gen)
         # Amplitude-combination weights: per hidden unit, mix the K frequency
         # amplitudes into one memory value.
-        self.weight_amp = Parameter(np.empty((hidden_size, n_freq)))
+        self.weight_amp = Parameter(np.zeros((hidden_size, n_freq)))
         self.bias_amp = Parameter(np.zeros(hidden_size))
         init.xavier_uniform_(self.weight_amp, rng=gen)
         # Fixed rotation frequencies ω_k = 2πk/K.

@@ -37,7 +37,6 @@ from ..tensor import fused as _fused_module
 from ..tensor import ops as _ops_module
 from ..tensor import sparse as _sparse_module
 from ..tensor import tensor as _tensor_module
-from ..tensor.arena import arena_stats
 from ..tensor.tensor import Tensor
 
 #: ``Tensor`` methods treated as primitives, mapped to their report names.
@@ -88,9 +87,6 @@ _FUSED_PRIMITIVES: Dict[str, str] = {
     "temporal_block_fused": "temporal_block_fused",
 }
 
-#: arena counters whose install→report deltas the profiler exposes.
-_ARENA_COUNTERS = ("hits", "misses", "released", "bytes_reused")
-
 _active_profiler: Optional["OpProfiler"] = None
 
 
@@ -127,8 +123,6 @@ class OpProfiler:
         self.records: Dict[Tuple[str, str], OpStat] = {}
         self._patches: List[Tuple[object, str, object]] = []
         self._installed = False
-        self._arena_start: Optional[Dict[str, int]] = None
-        self._arena_end: Optional[Dict[str, int]] = None
 
     # ------------------------------------------------------------------
     # recording
@@ -188,8 +182,6 @@ class OpProfiler:
                                "profilers cannot nest")
         _active_profiler = self
         self._installed = True
-        self._arena_start = arena_stats()
-        self._arena_end = None
 
         # Tensor methods: wrap each original once, then rebind every class
         # attribute that refers to it (catches __radd__ = __add__ aliases).
@@ -230,7 +222,6 @@ class OpProfiler:
             setattr(owner, attr, original)
         self._patches.clear()
         self._installed = False
-        self._arena_end = arena_stats()
         if _active_profiler is self:
             _active_profiler = None
 
@@ -246,24 +237,6 @@ class OpProfiler:
     def total_seconds(self) -> float:
         """Seconds across every recorded primitive and pass."""
         return sum(stat.seconds for stat in self.records.values())
-
-    def arena_summary(self) -> Dict[str, object]:
-        """Buffer-arena activity while this profiler was installed.
-
-        Counter deltas between install and uninstall (or "now" while still
-        installed), plus the derived ``hit_rate`` — ``hits / (hits +
-        misses)`` of backward-buffer acquisitions, 0.0 when the arena saw
-        no traffic.
-        """
-        start = self._arena_start or {key: 0 for key in _ARENA_COUNTERS}
-        end = self._arena_end if self._arena_end is not None \
-            else arena_stats()
-        delta = {key: end[key] - start.get(key, 0)
-                 for key in _ARENA_COUNTERS}
-        acquired = delta["hits"] + delta["misses"]
-        delta["hit_rate"] = delta["hits"] / acquired if acquired else 0.0
-        delta["enabled"] = bool(end.get("enabled"))
-        return delta
 
     def as_rows(self) -> List[Dict[str, object]]:
         """JSON-ready rows sorted by descending seconds."""
@@ -285,12 +258,6 @@ class OpProfiler:
             lines.append(f"{row['op']:20s} {row['pass']:8s} "
                          f"{row['count']:9d} {row['seconds']:10.4f} "
                          f"{row['bytes'] / 1e6:10.2f}")
-        summary = self.arena_summary()
-        if summary["enabled"] or summary["hits"] or summary["misses"]:
-            lines.append(
-                f"arena: hit_rate={summary['hit_rate']:.1%} "
-                f"hits={summary['hits']} misses={summary['misses']} "
-                f"reused={summary['bytes_reused'] / 1e6:.2f} MB")
         return "\n".join(lines)
 
 

@@ -29,7 +29,6 @@ from typing import Any, Dict, Mapping, Optional
 from urllib.parse import urlencode
 
 from .httpd import error_payload
-from .service import ServiceTimeoutError
 
 __all__ = ["ClientConnectError", "QueryClient", "fetch_endpoints"]
 
@@ -87,19 +86,16 @@ class QueryClient:
             except asyncio.TimeoutError:
                 # The same envelope the server sends for its own
                 # timeouts — one switch handles both sides.
-                exc = ServiceTimeoutError(
-                    f"no response from {self.host}:{self.port}{path} "
-                    f"within {self.timeout:g}s")
-                return error_payload("timeout", str(exc), retry_after=1.0,
-                                     type_name=type(exc).__name__)
+                return error_payload(
+                    "timeout", f"no response from {self.host}:{self.port}"
+                    f"{path} within {self.timeout:g}s", retry_after=1.0)
             try:
                 return json.loads(body.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 return error_payload(
                     "bad_response",
                     f"non-JSON response from "
-                    f"{self.host}:{self.port}{path}: {exc}",
-                    type_name=type(exc).__name__)
+                    f"{self.host}:{self.port}{path}: {exc}")
         finally:
             writer.close()
             try:

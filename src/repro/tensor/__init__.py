@@ -5,13 +5,13 @@ the :class:`Tensor` type with a dynamic computation graph, a functional ops
 layer (:mod:`repro.tensor.ops`), gradient-mode switches, and numerical
 gradient checking used to validate every model component.
 
-Importing the package applies the BLAS threading policy: one BLAS thread
-per process (:mod:`repro.tensor.blas`), whatever ``OPENBLAS_NUM_THREADS``
-or ``OMP_NUM_THREADS`` say.
+Importing the package applies the process-wide numerics policy: one BLAS
+thread per process (:mod:`repro.tensor.blas`), whatever
+``OPENBLAS_NUM_THREADS`` or ``OMP_NUM_THREADS`` say, and allocator
+thresholds that keep freed NumPy buffers in the heap between training
+steps (:mod:`repro.tensor.malloc`).
 """
 
-from .arena import (arena, arena_enabled, arena_stats, clear_arena,
-                    enable_arena, reset_arena)
 from .blas import BLAS_THREADS, blas_threads, pin_blas_threads
 from .dtype import (DtypePolicy, accum_dtype, default_dtype, dtype_policy,
                     get_dtype_policy, set_default_dtype)
@@ -21,6 +21,7 @@ from .fused import (affine_act_fused, fused_enabled, fused_kernels,
 from .grad_mode import (enable_grad, inference_mode, is_grad_enabled,
                         no_grad, set_grad_enabled, tape_node_count)
 from .gradcheck import gradcheck, numerical_gradient
+from .malloc import set_malloc_policy
 from .ops import (binary_cross_entropy, conv1d, cross_entropy, dropout, elu,
                   huber_loss, l1_loss, leaky_relu, linear, log_softmax,
                   mse_loss, one_hot, relu, sigmoid, softmax, tanh)
@@ -30,14 +31,13 @@ from .tensor import (Tensor, concat, einsum, ensure_tensor, maximum, stack,
                      where)
 
 pin_blas_threads()
+set_malloc_policy()
 
 __all__ = [
-    "BLAS_THREADS", "blas_threads", "pin_blas_threads",
+    "BLAS_THREADS", "blas_threads", "pin_blas_threads", "set_malloc_policy",
     "Tensor", "concat", "stack", "where", "maximum", "einsum", "ensure_tensor",
     "DtypePolicy", "dtype_policy", "set_default_dtype", "get_dtype_policy",
     "default_dtype", "accum_dtype",
-    "arena", "enable_arena", "arena_enabled", "arena_stats", "reset_arena",
-    "clear_arena",
     "fused_kernels", "set_fused_enabled", "fused_enabled",
     "affine_act_fused", "lstm_cell_fused", "gru_cell_fused",
     "gcn_propagate_fused", "temporal_block_fused",

@@ -20,10 +20,6 @@ The gradcheck + per-policy equivalence suite in
 Fusion is process-globally switchable (:func:`set_fused_enabled`,
 :func:`fused_kernels`); ``repro.nn`` layers consult the switch on every
 forward so benchmarks can compare paths in one process.
-
-Arena note: backward closures never retain their ``grad`` argument (the
-buffer is recycled as soon as the closure returns); cross-node stashes
-(LSTM's h→c hand-off) store freshly computed products instead.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .arena import arena_enabled
 from .ops import (_conv_forward, _conv_geometry, _conv_input_grad,
                   _conv_weight_grad)
 from .sparse import SparseTensor, _csr_matmul, _sampled_inner
@@ -174,7 +169,7 @@ def lstm_cell_fused(x: Tensor, h_prev: Tensor, c_prev: Tensor,
     ``c``.  ``h``'s backward runs first (reverse topological order),
     accumulates h's contribution into ``c``'s gradient through the normal
     engine path, and stashes the output-gate product for ``c``'s backward
-    — a freshly computed array, never the (recyclable) grad buffer itself.
+    — a freshly computed array, never the grad buffer itself.
     """
     x = ensure_tensor(x)
     h_prev = ensure_tensor(h_prev)
@@ -349,19 +344,6 @@ def gcn_propagate_fused(x: Tensor, adj, weight: Tensor,
 # ----------------------------------------------------------------------
 # fused TCN residual block
 # ----------------------------------------------------------------------
-def _node_grad(grad: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """``grad`` as a composed node of storage ``dtype`` would hold it.
-
-    The engine casts every node gradient to the node's dtype, and with the
-    arena on copies it into a C-ordered buffer.  The copy itself is not
-    needed, but the layout is: NumPy's axis reductions and BLAS calls
-    round differently on differently laid-out operands.
-    """
-    if arena_enabled():
-        return np.ascontiguousarray(grad, dtype=dtype)
-    return grad.astype(dtype, copy=False)
-
-
 def _mul_(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a * b`` for an ``a`` the caller owns, written over ``a`` when
     NumPy would lay the product out like ``a`` anyway: a C-ordered
@@ -391,8 +373,8 @@ def _relu_(pre: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 def _conv_bias_vjp(grad: np.ndarray, dtype: np.dtype,
                    bias: Optional[Tensor]) -> np.ndarray:
     """Accumulate the bias gradient of ``out = conv + bias``; return the
-    gradient of ``out`` as its node holds it."""
-    grad = _node_grad(grad, dtype)
+    gradient of ``out`` in its node's storage dtype."""
+    grad = grad.astype(dtype, copy=False)
     if bias is not None and bias.requires_grad:
         bias._accumulate(_unbroadcast(grad, (1, grad.shape[1], 1))
                          .reshape(-1))
@@ -454,7 +436,7 @@ def temporal_block_fused(x: Tensor, w1: Tensor, b1: Optional[Tensor],
         out_data.dtype, d1.dtype, r1.dtype, r2.dtype, res.dtype)
 
     def backward(grad: np.ndarray) -> None:
-        g_s = _node_grad(grad * mask_s, dt_out)
+        g_s = (grad * mask_s).astype(dt_out, copy=False)
         dx_res = None
         if wd is None:
             if x.requires_grad:
@@ -467,13 +449,14 @@ def temporal_block_fused(x: Tensor, w1: Tensor, b1: Optional[Tensor],
                 dx_res = _conv_input_grad(g_res, wd.data, x.data, stride, 1,
                                           0, 0)
         # g_s is spent: the conv branch may overwrite it from here on.
-        g_r2 = g_s if m2 is None else _node_grad(_mul_(g_s, m2), dt_r2)
+        g_r2 = g_s if m2 is None else _mul_(g_s, m2).astype(dt_r2, copy=False)
         g_h2 = _conv_bias_vjp(_mul_(g_r2, mask_h2), dt_r2, b2)
         if w2.requires_grad:
             w2._accumulate(_conv_weight_grad(cols2, g_h2, w2.shape))
-        g_d1 = _node_grad(
-            _conv_input_grad(g_h2, w2.data, d1, 1, dilation, pad2, 0), dt_d1)
-        g_r1 = g_d1 if m1 is None else _node_grad(_mul_(g_d1, m1), dt_r1)
+        g_d1 = _conv_input_grad(g_h2, w2.data, d1, 1, dilation, pad2,
+                                0).astype(dt_d1, copy=False)
+        g_r1 = (g_d1 if m1 is None
+                else _mul_(g_d1, m1).astype(dt_r1, copy=False))
         g_h1 = _conv_bias_vjp(_mul_(g_r1, mask_h1), dt_r1, b1)
         if w1.requires_grad:
             w1._accumulate(_conv_weight_grad(cols1, g_h1, w1.shape))

@@ -14,7 +14,6 @@ from typing import Optional, Tuple, Union
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .arena import arena_enabled
 from .grad_mode import is_grad_enabled
 from .tensor import (Tensor, _unbroadcast, concat, ensure_tensor, maximum,
                      stack, where)
@@ -241,11 +240,6 @@ def conv1d(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None,
             if bias.requires_grad:
                 bias._accumulate(
                     _unbroadcast(grad, (1, grad.shape[1], 1)).reshape(-1))
-            if arena_enabled():
-                # In the gather + einsum formulation the bias add is a
-                # node of its own, whose gradient the arena copies to C
-                # order before the GEMMs; BLAS rounds by operand layout.
-                grad = np.ascontiguousarray(grad)
         if weight.requires_grad:
             weight._accumulate(_conv_weight_grad(cols, grad, weight.shape))
         if x.requires_grad:

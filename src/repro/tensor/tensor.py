@@ -19,9 +19,10 @@ Design notes
   process-wide policy (:mod:`repro.tensor.dtype`) can switch storage to
   ``float32`` for speed, with reductions optionally accumulating in
   ``float64`` under the ``"mixed"`` policy.
-- Backward-pass gradient buffers are recycled across steps through a global
-  :mod:`repro.tensor.arena` when enabled, so steady-state training epochs
-  allocate almost nothing.
+- Every backward pass allocates fresh gradient buffers and frees interior
+  ones as it goes; the process-wide allocator policy
+  (:mod:`repro.tensor.malloc`) keeps those buffers in the heap between
+  steps instead of returning them to the kernel.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .arena import materialize as _arena_materialize
-from .arena import release as _arena_release
 from .dtype import accum_dtype, default_dtype, resolve_dtype
 from .grad_mode import _note_tape_node, is_grad_enabled
 
@@ -201,7 +200,6 @@ class Tensor:
         return Tensor(self.data.copy(), requires_grad=False)
 
     def zero_grad(self) -> None:
-        _arena_release(self.grad)
         self.grad = None
 
     def astype(self, dtype) -> "Tensor":
@@ -236,10 +234,9 @@ class Tensor:
     def _accumulate(self, grad: np.ndarray) -> None:
         if self.grad is None:
             # Gradients live in the tensor's own storage dtype.  The copy
-            # (into a recycled arena buffer when the arena is enabled) also
-            # guarantees no backward closure's view of another node's grad
-            # buffer survives in ``self.grad``.
-            self.grad = _arena_materialize(grad, self.data.dtype)
+            # also guarantees no backward closure's view of another node's
+            # grad buffer survives in ``self.grad``.
+            self.grad = grad.astype(self.data.dtype, copy=True)
         else:
             np.add(self.grad, grad, out=self.grad, casting="same_kind")
 
@@ -273,25 +270,15 @@ class Tensor:
         # this, a second backward over a retained graph double-counts.
         for node in order:
             if node._parents:
-                _arena_release(node.grad)
                 node.grad = None
-        # Seed the root outside the arena: its grad stays readable after
-        # backward (it is exempt from the interior free loop below), so an
-        # arena buffer here would leak into the live set when the root is
-        # garbage-collected without a release.
-        if self.grad is None:
-            self.grad = seed.astype(self.data.dtype, copy=True)
-        else:
-            np.add(self.grad, seed, out=self.grad, casting="same_kind")
+        self._accumulate(seed)
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
             if not retain_graph and node is not self:
                 # Interior gradients are not needed by callers; free them so
-                # long training loops do not grow memory.  Released buffers
-                # return to the arena for the next step's backward pass.
+                # long training loops do not grow memory.
                 if node._parents:
-                    _arena_release(node.grad)
                     node.grad = None
             if not retain_graph:
                 node._backward = None

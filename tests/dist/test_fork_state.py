@@ -1,10 +1,8 @@
 """Process-global tensor state across fork(): what a dist worker inherits.
 
 The dist workers fork from a parent whose process-global tensor state —
-buffer arena, dtype policy, RNG streams — is mid-training.  These tests
-pin the inheritance contract: the arena starts *empty* in every child
-(an ``os.register_at_fork`` hook; inherited backward buffers belong to
-the parent's graph), the dtype policy carries over (workers re-enter it
+dtype policy, RNG streams — is mid-training.  These tests pin the
+inheritance contract: the dtype policy carries over (workers re-enter it
 from config anyway), and per-shard reseeding realigns every RNG stream
 so a forked worker and the inline path draw identical dropout masks.
 """
@@ -19,9 +17,7 @@ from repro.nn.random import get_rng, manual_seed
 from repro.dist import reseed_shard
 from repro.dist.worker import shard_rngs
 from repro.parallel import fork_available
-from repro.tensor import (Tensor, arena, arena_stats, clear_arena,
-                          default_dtype, dtype_policy)
-from repro.tensor.arena import materialize, release
+from repro.tensor import Tensor, default_dtype, dtype_policy
 
 pytestmark = pytest.mark.skipif(not fork_available(),
                                 reason="needs the fork start method")
@@ -43,44 +39,6 @@ def _in_child(target):
         return parent_conn.recv()
     finally:
         process.join(timeout=10.0)
-
-
-class TestArenaAcrossFork:
-    def test_child_starts_with_empty_arena(self):
-        clear_arena()
-        with arena():
-            # populate the pool and leave a live buffer outstanding
-            pooled = materialize(np.ones((4, 4)), np.float64)
-            release(pooled)
-            live = materialize(np.ones((2, 2)), np.float64)
-
-            stats = _in_child(arena_stats)
-            # the hook wiped pooled + live buffers and zeroed counters...
-            assert stats["live"] == 0
-            assert stats["pooled"] == 0 if "pooled" in stats else True
-            assert stats["hits"] == 0 and stats["misses"] == 0
-            # ...but enablement (plain bool) carries over
-            assert stats["enabled"] is True
-
-            # the parent's arena is untouched by the child's hook
-            parent = arena_stats()
-            assert parent["live"] == 1
-            assert parent["misses"] == 2
-            release(live)
-
-    def test_child_reuse_never_aliases_parent_buffers(self):
-        clear_arena()
-        with arena():
-            first = materialize(np.full((3, 3), 7.0), np.float64)
-            release(first)
-
-            def child():
-                # a pool hit here would hand back the parent's buffer
-                buf = materialize(np.zeros((3, 3)), np.float64)
-                return arena_stats()["hits"]
-
-            assert _in_child(child) == 0           # miss: fresh memory
-        clear_arena()
 
 
 class TestDtypePolicyAcrossFork:

@@ -91,8 +91,7 @@ def _in_process(serving_ckpt_dir, path):
     try:
         payload = ranking(op, engine, day, k=k)
     except ValueError as exc:
-        payload = error_payload("bad_request", str(exc),
-                                type_name="ValueError")
+        payload = error_payload("bad_request", str(exc))
     return (json.dumps(payload, sort_keys=True) + "\n").encode("utf-8")
 
 

@@ -4,15 +4,13 @@ The oracle below is the formulation ``conv1d`` used before it became a
 single node: pad, gather ``(B, C, L, K)`` windows (with a tap-by-tap
 slice scatter as backward), ``einsum("bilk,oik->bol")``, then a reshaped
 bias add.  The kernel must reproduce its output and all three gradients
-bit for bit, under every dtype policy and with the buffer arena on or off
-(the arena changes the memory layout of gradient buffers, and NumPy's
-axis reductions are layout-sensitive).
+bit for bit, under every dtype policy.
 """
 
 import numpy as np
 import pytest
 
-from repro.tensor import Tensor, arena, conv1d, dtype_policy, gradcheck
+from repro.tensor import Tensor, conv1d, dtype_policy, gradcheck
 from repro.tensor.tensor import einsum, ensure_tensor
 
 
@@ -92,11 +90,10 @@ GEOMETRY = [
 @pytest.mark.parametrize("policy", ["float64", "float32", "mixed"])
 @pytest.mark.parametrize("stride,dilation,padding", GEOMETRY)
 @pytest.mark.parametrize("with_bias", [True, False])
-@pytest.mark.parametrize("use_arena", [False, True])
 def test_bitwise_equal_to_gather_einsum(policy, stride, dilation, padding,
-                                        with_bias, use_arena):
+                                        with_bias):
     rng = np.random.default_rng(100 * stride + 10 * dilation + with_bias)
-    with dtype_policy(policy), arena(use_arena):
+    with dtype_policy(policy):
         x, w, b = _leaves(rng, 6, 4, 5, 17, 3, with_bias)
         g = rng.standard_normal((5, 6, 17))
 

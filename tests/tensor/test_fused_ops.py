@@ -14,7 +14,7 @@ import pytest
 
 from repro.nn import GRUCell, GraphConv, LSTMCell, Linear, TemporalBlock
 from repro.tensor import (Tensor, SparsePattern, SparseTensor,
-                          affine_act_fused, arena, dtype_policy,
+                          affine_act_fused, dtype_policy,
                           fused_kernels, gcn_propagate_fused, gradcheck,
                           gru_cell_fused, lstm_cell_fused,
                           tape_node_count, temporal_block_fused)
@@ -278,12 +278,11 @@ class TestTemporalBlockFused:
         (4, 6, 2, 2),     # both, downsample
     ])
     @pytest.mark.parametrize("training", [True, False])
-    @pytest.mark.parametrize("use_arena", [False, True])
     def test_matches_composed_block(self, rng, policy, c_in, c_out, stride,
-                                    dilation, training, use_arena):
+                                    dilation, training):
         block = self._block(policy, c_in, c_out, stride, dilation)
         block.train(training)
-        with dtype_policy(policy), arena(use_arena):
+        with dtype_policy(policy):
             base = _t(rng, (12, 7, c_in))       # (T, N, C)
             weights = Tensor(rng.standard_normal((12, 7, c_out)))
             fused = self._run(block, base, weights, True)

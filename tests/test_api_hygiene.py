@@ -97,6 +97,33 @@ class TestServeLegacyRemoval:
         handle.close()
 
 
+#: the backward buffer arena and its switches, replaced by the process-wide
+#: allocator policy (repro.tensor.malloc); none may return
+REMOVED_ARENA_NAMES = ("arena", "enable_arena", "arena_enabled",
+                       "arena_stats", "reset_arena", "clear_arena")
+
+
+class TestArenaRemoval:
+    def test_arena_names_are_gone(self):
+        import repro.tensor as tensor
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.tensor.arena")
+        for name in REMOVED_ARENA_NAMES:
+            assert name not in tensor.__all__, \
+                f"removed name {name!r} back in repro.tensor.__all__"
+            assert not hasattr(tensor, name), \
+                f"removed name {name!r} importable from repro.tensor"
+
+    def test_no_buffer_arena_config_or_flag(self):
+        import dataclasses
+        from repro.cli import build_parser
+        from repro.core import TrainConfig
+        assert "buffer_arena" not in {
+            spec.name for spec in dataclasses.fields(TrainConfig)}
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["train", "--buffer-arena"])
+
+
 class TestServeConfigCliRoundTrip:
     """Every ServeConfig field is reachable from repro.cli serve flags and
     survives the args -> ServeConfig -> to_dict round trip."""
